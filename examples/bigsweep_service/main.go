@@ -218,7 +218,7 @@ func main() {
 	perShard := make([]int, 4)
 	for _, v := range variants {
 		byIndex[v.Index] = v
-		perShard[shard.Owner(v.Hash, 4)]++
+		perShard[shard.OwnerID(v.Hash, []int{0, 1, 2, 3})]++
 	}
 	// The SIGKILL victim: the busiest shard that is NOT the slow one
 	// (stolen write-backs to shard 0 must survive to be checked).

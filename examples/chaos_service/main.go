@@ -275,9 +275,10 @@ func main() {
 	owners := map[string]int{}
 	ranks := map[string][]int{}
 	perShard := []int{0, 0, 0}
+	ids := []int{0, 1, 2} // the boot-time shard IDs
 	for _, v := range variants {
-		owners[v.Hash] = shard.Owner(v.Hash, 3)
-		ranks[v.Hash] = shard.Rank(v.Hash, 3)
+		owners[v.Hash] = shard.OwnerID(v.Hash, ids)
+		ranks[v.Hash] = shard.RankIDs(v.Hash, ids)
 		perShard[owners[v.Hash]]++
 	}
 	if perShard[0] == 0 || perShard[1] == 0 || perShard[2] == 0 {

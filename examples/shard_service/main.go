@@ -335,7 +335,7 @@ func main() {
 			fail("scenario %s: hash headers differ", name)
 		}
 		hash, _ := sp.Hash()
-		if want := strconv.Itoa(shard.Owner(hash, 2)); h2.Get("X-Shard") != want {
+		if want := strconv.Itoa(shard.OwnerID(hash, []int{0, 1})); h2.Get("X-Shard") != want {
 			fail("scenario %s placed on shard %s, rendezvous owner is %s", name, h2.Get("X-Shard"), want)
 		}
 		checked++
@@ -475,7 +475,7 @@ func main() {
 	deadOwned := 0
 	var deadSpec *spec.Spec
 	for _, v := range analyzeVariants {
-		if shard.Owner(v.Hash, 2) == 1 {
+		if shard.OwnerID(v.Hash, []int{0, 1}) == 1 {
 			deadOwned++
 			if deadSpec == nil {
 				sp := v.Spec
@@ -555,7 +555,7 @@ func killDrill(cluster *proc, round int) {
 	owners := map[string]int{}
 	perShard := []int{0, 0}
 	for _, v := range variants {
-		o := shard.Owner(v.Hash, 2)
+		o := shard.OwnerID(v.Hash, []int{0, 1})
 		owners[v.Hash] = o
 		perShard[o]++
 	}

@@ -13,7 +13,6 @@
 package farm
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -100,117 +99,4 @@ func Pair(a, b func()) {
 			b()
 		}
 	})
-}
-
-// ErrSaturated is returned by Pool.Submit when the bounded job queue
-// is full — the backpressure signal a service translates into "try
-// again later" instead of queueing unboundedly.
-var ErrSaturated = errors.New("farm: job queue saturated")
-
-// Pool is a long-lived worker pool with a bounded job queue. Unlike
-// Do/Map — which are built for a fixed batch known up front — a Pool
-// serves jobs that arrive one at a time (the simulation service's
-// request stream), applying backpressure once the queue fills.
-//
-// A panic inside a job is recovered and rethrown on the goroutine
-// that waits on the job's done function, not the worker, so one bad
-// job cannot take a worker out of the pool.
-type Pool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-	// inFlight counts jobs a worker is currently executing (picked up
-	// from the queue, not yet returned). Together with Queued it is the
-	// pool's instantaneous load — the number a service divides by its
-	// worker count to tell clients how long to back off.
-	inFlight atomic.Int64
-	// submitted/completed are lifetime totals (accepted jobs and jobs
-	// a worker finished) — the monotonic pair an observability layer
-	// exports, where the instantaneous Queued/InFlight gauges can
-	// never show load that came and went between scrapes.
-	submitted atomic.Uint64
-	completed atomic.Uint64
-	// mu serializes Submit's closed-check-then-send against Close's
-	// flag-set-then-close so a late Submit can never send on a closed
-	// channel. Submitters share a read lock (the send itself is
-	// non-blocking); Close takes the write lock.
-	mu     sync.RWMutex
-	closed bool
-}
-
-// NewPool starts a pool with the given worker count (<= 0 selects
-// DefaultWorkers) and queue capacity (<= 0 selects 2x the workers).
-func NewPool(workers, queue int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if queue <= 0 {
-		queue = 2 * workers
-	}
-	p := &Pool{jobs: make(chan func(), queue)}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				p.inFlight.Add(1)
-				job()
-				p.inFlight.Add(-1)
-				p.completed.Add(1)
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a job and returns a wait function that blocks until
-// the job finishes (rethrowing the job's panic, if any). It returns
-// ErrSaturated without enqueueing when the queue is full, and an
-// error after Close.
-func (p *Pool) Submit(job func()) (wait func(), err error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, errors.New("farm: pool closed")
-	}
-	done := make(chan any, 1)
-	wrapped := func() {
-		defer func() { done <- recover() }()
-		job()
-	}
-	select {
-	case p.jobs <- wrapped:
-		p.submitted.Add(1)
-		return func() {
-			if r := <-done; r != nil {
-				panic(r)
-			}
-		}, nil
-	default:
-		return nil, ErrSaturated
-	}
-}
-
-// Queued returns the number of jobs waiting in the queue (not yet
-// picked up by a worker).
-func (p *Pool) Queued() int { return len(p.jobs) }
-
-// InFlight returns the number of jobs currently executing on a
-// worker. Queued()+InFlight() is the pool's instantaneous load.
-func (p *Pool) InFlight() int { return int(p.inFlight.Load()) }
-
-// Submitted returns the lifetime count of jobs accepted by Submit.
-func (p *Pool) Submitted() uint64 { return p.submitted.Load() }
-
-// Completed returns the lifetime count of jobs finished by a worker.
-func (p *Pool) Completed() uint64 { return p.completed.Load() }
-
-// Close stops accepting jobs and waits for queued ones to drain.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.jobs)
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
 }

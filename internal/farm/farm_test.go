@@ -2,7 +2,6 @@ package farm
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,216 +81,5 @@ func TestPairRunsBoth(t *testing.T) {
 	Pair(func() { a = true }, func() { b = true })
 	if !a || !b {
 		t.Fatalf("a=%v b=%v", a, b)
-	}
-}
-
-func TestPoolRunsSubmittedJobs(t *testing.T) {
-	p := NewPool(2, 8)
-	defer p.Close()
-	var ran atomic.Int64
-	var waits []func()
-	for i := 0; i < 8; i++ {
-		wait, err := p.Submit(func() { ran.Add(1) })
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		waits = append(waits, wait)
-	}
-	for _, w := range waits {
-		w()
-	}
-	if ran.Load() != 8 {
-		t.Fatalf("ran %d of 8", ran.Load())
-	}
-}
-
-func TestPoolBackpressure(t *testing.T) {
-	p := NewPool(1, 1)
-	defer p.Close()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	// Occupy the single worker...
-	w1, err := p.Submit(func() { close(started); <-block })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// ...fill the single queue slot...
-	w2, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...and the next submission must be refused, not queued.
-	if _, err := p.Submit(func() {}); err != ErrSaturated {
-		t.Fatalf("saturated submit: %v", err)
-	}
-	close(block)
-	w1()
-	w2()
-	// Capacity freed: submissions flow again.
-	w3, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatalf("post-drain submit: %v", err)
-	}
-	w3()
-}
-
-func TestPoolJobPanicSurfacesOnWait(t *testing.T) {
-	p := NewPool(1, 4)
-	defer p.Close()
-	wait, err := p.Submit(func() { panic("kaboom") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(r.(string), "kaboom") {
-				t.Errorf("recovered %v", r)
-			}
-		}()
-		wait()
-	}()
-	// The worker survived the panic.
-	w2, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2()
-}
-
-func TestPoolCloseRejectsNewJobs(t *testing.T) {
-	p := NewPool(1, 1)
-	p.Close()
-	if _, err := p.Submit(func() {}); err == nil {
-		t.Fatal("closed pool accepted a job")
-	}
-}
-
-// TestPoolCloseWhileSaturated races Close against a crowd of
-// submitters hammering a fully saturated pool. The invariants, best
-// exercised under -race: no Submit ever panics (the closed-channel
-// send Close guards against), every accepted job eventually runs
-// (waits return), and Close itself returns. Run with -race.
-func TestPoolCloseWhileSaturated(t *testing.T) {
-	p := NewPool(1, 1)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	// Occupy the worker and fill the queue so every submitter below
-	// lands on the saturated path while Close races them.
-	w1, err := p.Submit(func() { close(started); <-block })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	w2, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const submitters = 8
-	var (
-		wg       sync.WaitGroup
-		rejected atomic.Int64
-		mu       sync.Mutex
-		waits    []func()
-	)
-	for i := 0; i < submitters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Bounded spin: enough iterations to straddle the
-			// saturated phase, the drain and the Close, without
-			// soaking the race detector for seconds.
-			for n := 0; n < 5000; n++ {
-				wait, err := p.Submit(func() {})
-				switch {
-				case err == nil:
-					mu.Lock()
-					waits = append(waits, wait)
-					mu.Unlock()
-				case err == ErrSaturated:
-					rejected.Add(1)
-				default:
-					// Pool closed: the terminal state every submitter
-					// lands in once Close wins the race.
-					return
-				}
-			}
-		}()
-	}
-
-	time.Sleep(10 * time.Millisecond) // submitters hammer the full queue
-	close(block)                      // free the worker
-	// Guarantee at least one post-drain acceptance before Close joins
-	// the race.
-	for {
-		if wait, err := p.Submit(func() {}); err == nil {
-			mu.Lock()
-			waits = append(waits, wait)
-			mu.Unlock()
-			break
-		}
-	}
-	p.Close()
-	wg.Wait()
-
-	// Every job the pool accepted must have run; its wait returns
-	// instead of deadlocking on a dropped job.
-	w1()
-	w2()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, wait := range waits {
-		wait()
-	}
-	if rejected.Load() == 0 {
-		t.Error("saturation path never exercised")
-	}
-	if len(waits) == 0 {
-		t.Error("acceptance path never exercised")
-	}
-}
-
-func TestPoolInFlightTracksExecutingJobs(t *testing.T) {
-	p := NewPool(2, 4)
-	defer p.Close()
-	if got := p.InFlight(); got != 0 {
-		t.Fatalf("idle pool in-flight %d", got)
-	}
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	var waits []func()
-	for i := 0; i < 2; i++ {
-		w, err := p.Submit(func() { started <- struct{}{}; <-block })
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits = append(waits, w)
-	}
-	<-started
-	<-started
-	// Both workers are executing; a queued job is load but not in-flight.
-	wq, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.InFlight(); got != 2 {
-		t.Fatalf("in-flight %d with both workers held, want 2", got)
-	}
-	if got := p.Queued(); got != 1 {
-		t.Fatalf("queued %d, want 1", got)
-	}
-	close(block)
-	for _, w := range waits {
-		w()
-	}
-	wq()
-	// Drained: in-flight settles back to zero (the worker decrements
-	// after the job's wait function observes completion, so poll).
-	for i := 0; i < 1000 && p.InFlight() != 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := p.InFlight(); got != 0 {
-		t.Fatalf("drained pool in-flight %d", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package sched is the tenant-aware execution scheduler: a two-level
-// weighted-fair queue in front of the farm.Pool worker substrate.
+// weighted-fair queue that runs its own jobs.
 //
-// The bounded FIFO pool is honest but first-come: one tenant's
+// A bounded FIFO pool is honest but first-come: one tenant's
 // 100k-variant sweep fills the queue and every interactive /run
 // behind it waits (or eats the one global saturation 503). This
 // package replaces "one queue, one high-water mark" with:
@@ -25,23 +25,21 @@
 // WHEN a job runs, never what it computes — a simulation's bytes are
 // a pure function of its spec, regardless of dispatch order.
 //
-// Jobs execute on a farm.Pool sized exactly to the worker count; the
-// scheduler dispatches a job only when a worker slot is free, so the
-// pool's own queue never saturates and the per-(tenant,class) queues
-// here are the only queues. A panic inside a job is recovered and
-// rethrown on the goroutine that waits on the job, exactly like the
-// bare pool. Close stops admissions and drains every queued job
-// before returning, matching the pool's close-while-saturated
-// semantics.
+// Jobs run on Workers long-lived goroutines, and the scheduler
+// dispatches only while one of them is free, so the per-(tenant,class)
+// queues here are the only queues.
+// A panic inside a job is recovered and rethrown on the goroutine
+// that waits on the job, so one bad job cannot take a slot with it.
+// Close stops admissions and drains every queued job before
+// returning.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/farm"
 )
 
 // Class is a job's priority class.
@@ -210,20 +208,24 @@ type classState struct {
 // pass by strideOne per dispatch, a weight-w queue by strideOne/w.
 const strideOne uint64 = 1 << 20
 
-// Scheduler is the weighted-fair scheduler. It owns a farm.Pool of
-// workers and per-(tenant,class) FIFO queues in front of them; see
-// the package comment for the scheduling discipline.
+// Scheduler is the weighted-fair scheduler: per-(tenant,class) FIFO
+// queues in front of a bounded number of running jobs; see the
+// package comment for the scheduling discipline.
 type Scheduler struct {
-	pool     *farm.Pool
 	workers  int
 	queueCap int
+	// started hands dispatched jobs to the worker goroutines. Its
+	// buffer has a slot per worker and at most that many jobs are
+	// dispatched and unfinished, so a dispatch never blocks.
+	started chan *job
+	stopped sync.WaitGroup
+	stop    sync.Once
 
 	mu      sync.Mutex
 	drained sync.Cond
 	classes [numClasses]*classState
-	// running counts jobs handed to the pool and not yet finished; it
-	// never exceeds workers, which is why the pool's own queue cannot
-	// saturate.
+	// running counts dispatched jobs not yet finished; it never
+	// exceeds workers.
 	running int
 	closed  bool
 
@@ -236,20 +238,21 @@ type Scheduler struct {
 // New starts a scheduler (its workers run until Close).
 func New(opt Options) *Scheduler {
 	if opt.Workers <= 0 {
-		opt.Workers = farm.DefaultWorkers()
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opt.Queue <= 0 {
 		opt.Queue = 2 * opt.Workers
 	}
 	s := &Scheduler{
-		// The pool's queue holds at most `workers` dispatched-but-not-
-		// picked-up jobs (running <= workers), so sizing it to the
-		// worker count makes pool-side saturation impossible.
-		pool:     farm.NewPool(opt.Workers, opt.Workers),
 		workers:  opt.Workers,
 		queueCap: opt.Queue,
+		started:  make(chan *job, opt.Workers),
 	}
 	s.drained.L = &s.mu
+	s.stopped.Add(opt.Workers)
+	for range opt.Workers {
+		go s.work()
+	}
 	for _, c := range Classes() {
 		w := opt.Weights[c]
 		if w <= 0 {
@@ -379,9 +382,9 @@ func (s *Scheduler) minClassPass() (uint64, bool) {
 	return m, found
 }
 
-// dispatchLocked hands queued jobs to the pool while worker slots are
-// free — called on every admission and every completion, which keeps
-// the scheduler work-conserving without a pump goroutine.
+// dispatchLocked starts queued jobs while worker slots are free —
+// called on every admission and every completion, which keeps the
+// scheduler work-conserving without a pump goroutine.
 func (s *Scheduler) dispatchLocked() {
 	for s.running < s.workers {
 		j := s.pickLocked()
@@ -395,23 +398,27 @@ func (s *Scheduler) dispatchLocked() {
 		if s.obs.Wait != nil {
 			s.obs.Wait(j.class, time.Since(j.enqueued))
 		}
-		run := j
-		if _, err := s.pool.Submit(func() {
-			defer func() {
-				r := recover()
-				s.finish(run)
-				run.done <- r
-			}()
-			run.fn()
-		}); err != nil {
-			// Unreachable by construction (the pool can neither
-			// saturate nor close before the scheduler drains), but a
-			// blocked waiter would be worse than a surfaced error.
-			s.running--
-			c.inFlight--
-			run.done <- fmt.Errorf("sched: dispatch: %w", err)
-		}
+		s.started <- j
 	}
+}
+
+// work is one worker goroutine: it runs dispatched jobs until Close.
+func (s *Scheduler) work() {
+	defer s.stopped.Done()
+	for j := range s.started {
+		s.run(j)
+	}
+}
+
+// run executes one dispatched job, hands its recovered panic (nil on
+// success) to the waiter, and frees its slot.
+func (s *Scheduler) run(j *job) {
+	defer func() {
+		r := recover()
+		s.finish(j)
+		j.done <- r
+	}()
+	j.fn()
 }
 
 // pickLocked pops the next job under the two-level discipline:
@@ -634,9 +641,8 @@ func sortStrings(a []string) {
 	}
 }
 
-// Close stops admissions, drains every queued job (queued work runs
-// to completion, matching the pool's close semantics), then stops the
-// workers. Safe to call more than once.
+// Close stops admissions, waits until every queued and running job
+// has finished, then stops the workers. Safe to call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -644,5 +650,6 @@ func (s *Scheduler) Close() {
 		s.drained.Wait()
 	}
 	s.mu.Unlock()
-	s.pool.Close()
+	s.stop.Do(func() { close(s.started) })
+	s.stopped.Wait()
 }

@@ -3,7 +3,9 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -405,5 +407,230 @@ func TestParseClass(t *testing.T) {
 	}
 	if _, ok := ParseClass("premium"); ok {
 		t.Fatal("ParseClass accepted an unknown class")
+	}
+}
+
+// TestSubmitRunsEveryJobWithinTheWorkerBound pins the execution
+// contract: every admitted job runs exactly once, and no more than
+// Workers jobs ever run at the same time.
+func TestSubmitRunsEveryJobWithinTheWorkerBound(t *testing.T) {
+	s := New(Options{Workers: 2, Queue: 16})
+	defer s.Close()
+	var mu sync.Mutex
+	ran, running, peak := 0, 0, 0
+	var waits []func()
+	for i := 0; i < 16; i++ {
+		wait, err := s.Submit("alice", Batch, func() {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			running--
+			ran++
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waits = append(waits, wait)
+	}
+	for _, wait := range waits {
+		wait()
+	}
+	if ran != 16 {
+		t.Fatalf("ran %d of 16 jobs", ran)
+	}
+	if peak > 2 {
+		t.Fatalf("%d jobs ran at once on 2 workers", peak)
+	}
+}
+
+// TestSaturationClearsAfterDrain pins admission control at the class
+// cap: a full class queue refuses instead of queueing, and admits again
+// once the backlog drains.
+func TestSaturationClearsAfterDrain(t *testing.T) {
+	s := New(Options{Workers: 1, Queue: 1})
+	defer s.Close()
+	g := newGate()
+	gw := g.hold(t, s)
+	w1, err := s.Submit("alice", Interactive, func() {})
+	if err != nil {
+		t.Fatalf("fill submit: %v", err)
+	}
+	if _, err := s.Submit("alice", Interactive, func() {}); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("submit at cap: %v, want ErrSaturated", err)
+	}
+	close(g.release)
+	gw()
+	w1()
+	w2, err := s.Submit("alice", Interactive, func() {})
+	if err != nil {
+		t.Fatalf("submit after drain: %v", err)
+	}
+	w2()
+}
+
+// TestSubmitAfterCloseReturnsErrClosed pins the terminal admission
+// error: a closed scheduler refuses with ErrClosed, never
+// ErrSaturated, so callers stop retrying.
+func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.Close()
+	if _, err := s.Submit("alice", Interactive, func() {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+	s.Close() // idempotent
+}
+
+// TestInFlightCountsOnlyExecutingJobs pins the load gauges: a job
+// waiting for a worker is Queued, not InFlight, and both settle to
+// zero once the scheduler drains.
+func TestInFlightCountsOnlyExecutingJobs(t *testing.T) {
+	s := New(Options{Workers: 2, Queue: 4})
+	defer s.Close()
+	if got := s.InFlight(); got != 0 {
+		t.Fatalf("idle in-flight %d", got)
+	}
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	var waits []func()
+	for i := 0; i < 2; i++ {
+		wait, err := s.Submit("alice", Interactive, func() { started <- struct{}{}; <-release })
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, wait)
+	}
+	<-started
+	<-started
+	wq, err := s.Submit("alice", Interactive, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.InFlight(); got != 2 {
+		t.Fatalf("in-flight %d with both workers held, want 2", got)
+	}
+	if got := s.Queued(); got != 1 {
+		t.Fatalf("queued %d, want 1", got)
+	}
+	close(release)
+	for _, wait := range waits {
+		wait()
+	}
+	wq()
+	// A waiter returns after its job's slot is freed, so the drained
+	// gauges read zero without polling.
+	if got, q := s.InFlight(), s.Queued(); got != 0 || q != 0 {
+		t.Fatalf("drained in-flight %d queued %d", got, q)
+	}
+	if a, c := s.Admitted(), s.Completed(); a != 3 || c != 3 {
+		t.Fatalf("admitted %d completed %d, want 3 and 3", a, c)
+	}
+}
+
+// TestJobPanicSurfacesOnWait pins the panic contract on a queued job:
+// a job that panics behind another one rethrows at its own waiter,
+// the job ahead of it is untouched, and the worker keeps serving.
+func TestJobPanicSurfacesOnWait(t *testing.T) {
+	s := New(Options{Workers: 1, Queue: 4})
+	defer s.Close()
+	g := newGate()
+	gw := g.hold(t, s)
+	wait, err := s.Submit("alice", Batch, func() { panic("kaboom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	gw() // the gate job ahead of the panic returns normally
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "kaboom") {
+				t.Errorf("recovered %v", r)
+			}
+		}()
+		wait()
+	}()
+	w2, err := s.Submit("alice", Batch, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2()
+}
+
+// TestCloseRacesSaturatedSubmitters races Close against a crowd of
+// submitters hammering a saturated scheduler. The invariants, best
+// exercised under -race: no Submit panics, every admitted job runs
+// (its wait returns), and Close itself returns.
+func TestCloseRacesSaturatedSubmitters(t *testing.T) {
+	s := New(Options{Workers: 1, Queue: 1})
+	g := newGate()
+	gw := g.hold(t, s)
+	// Fill the class queue so every submitter below lands on the
+	// saturated path while Close races them.
+	w1, err := s.Submit("alice", Batch, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const submitters = 8
+	var (
+		wg       sync.WaitGroup
+		rejected atomic.Int64
+		mu       sync.Mutex
+		waits    []func()
+	)
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Bounded spin: enough iterations to straddle the
+			// saturated phase, the drain and the Close.
+			for n := 0; n < 5000; n++ {
+				wait, err := s.Submit("alice", Batch, func() {})
+				switch {
+				case err == nil:
+					mu.Lock()
+					waits = append(waits, wait)
+					mu.Unlock()
+				case errors.Is(err, ErrSaturated):
+					rejected.Add(1)
+				default:
+					// Closed: the terminal state every submitter
+					// lands in once Close wins the race.
+					return
+				}
+			}
+		}()
+	}
+
+	time.Sleep(10 * time.Millisecond) // submitters hammer the full queue
+	close(g.release)                  // free the worker
+	// Guarantee at least one post-drain admission before Close joins
+	// the race.
+	for {
+		if wait, err := s.Submit("alice", Batch, func() {}); err == nil {
+			mu.Lock()
+			waits = append(waits, wait)
+			mu.Unlock()
+			break
+		}
+	}
+	s.Close()
+	wg.Wait()
+
+	gw()
+	w1()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, wait := range waits {
+		wait()
+	}
+	if rejected.Load() == 0 {
+		t.Error("saturation path never exercised")
+	}
+	if len(waits) == 0 {
+		t.Error("admission path never exercised")
 	}
 }

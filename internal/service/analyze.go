@@ -3,8 +3,8 @@
 //
 // The request is a /sweep grid plus an analysis selector (metric,
 // objective, top-K, Pareto frontier — internal/agg); the variants run
-// through exactly the same cache/singleflight/pool path as /sweep
-// (collectRows), so an analysis warms the same result space a sweep
+// through exactly the same session walk and chunk resolver as /sweep
+// (session.go), so an analysis warms the same result space a sweep
 // or a direct /run would, and a warm grid analyzes at cache speed
 // with zero simulations. The document is a pure function of the
 // result set: a single process and a sharded cluster (whose router
@@ -13,14 +13,9 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
 
 	"repro/internal/agg"
-	"repro/internal/sched"
 )
 
 // AnalyzeRequest is the body of POST /sweep/analyze — a sweep grid
@@ -30,86 +25,6 @@ import (
 type AnalyzeRequest struct {
 	SweepRequest
 	agg.Request
-}
-
-// handleAnalyze serves POST /sweep/analyze.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req AnalyzeRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	id, err := s.requestIdent(r, sched.Batch)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.analyzeGrid(w, r, req, id)
-}
-
-// analyzeGrid runs the decoded analysis request — the shared engine
-// of POST /sweep/analyze (grid inlined) and POST /sweep/{id}/analyze
-// (grid from the stored manifest), which is what makes the two
-// byte-identical on the same result space. Rows are folded into
-// metric inputs as they complete, so a 100k-variant analysis holds
-// per-variant metrics, never the full result bodies.
-func (s *Server) analyzeGrid(w http.ResponseWriter, r *http.Request, req AnalyzeRequest, aid ident) {
-	grid, total, err := ResolveSweepGrid(req.SweepRequest, s.scenarioByName, s.maxSweepVariants)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := CheckGridCycleCaps(grid, s.checkCycleCap); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	model, compare, err := sweepModel(req.Model)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Reject a bad analysis selector BEFORE the grid costs anything:
-	// an unknown metric must not burn 100k simulations first.
-	if err := req.Request.Validate(compare); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := SweepID(req.SweepRequest, s.scenarioByName)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	inputs := make([]agg.Input, 0, min(total, sweepChunkSize))
-	distinct, complete := s.collectGrid(r.Context(), grid, -1, model, compare, aid, func(row SweepRow) {
-		inputs = append(inputs, AnalyzeInput(compare, row))
-	})
-	if !complete {
-		return // client gone; in-flight jobs still fill the cache
-	}
-	doc, err := agg.Analyze(req.Request, compare, AggAxes(req.Axes), distinct, inputs)
-	if err != nil {
-		// The grid ran but the analysis cannot be computed from its
-		// results (a per-master metric naming a port the workload lacks
-		// slips past static validation). The results are cached, so a
-		// corrected request replays for free.
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
-	w.Header().Set(SweepIDHeader, id)
-	s.writeBody(w, http.StatusOK, body, "", "")
 }
 
 // AnalyzeInput folds one completed sweep row into an aggregation

@@ -19,11 +19,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
-	"repro/internal/agg"
-	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -51,17 +48,18 @@ func SweepID(req SweepRequest, byName map[string]spec.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	model, err := parseSweepModel(req.Model)
+	if err != nil {
+		return "", err
+	}
+	return sweepID(base, req.Name, model, req.Axes)
+}
+
+// sweepID is SweepID over an already resolved base and model.
+func sweepID(base spec.Spec, name string, model SweepModel, axes []SweepAxis) (string, error) {
 	baseHash, err := base.Hash()
 	if err != nil {
 		return "", err
-	}
-	model, compare, err := sweepModel(req.Model)
-	if err != nil {
-		return "", err
-	}
-	canon := strings.ToLower(model.String())
-	if compare {
-		canon = "compare"
 	}
 	doc, err := json.Marshal(struct {
 		V     int         `json:"v"`
@@ -69,7 +67,7 @@ func SweepID(req SweepRequest, byName map[string]spec.Spec) (string, error) {
 		Name  string      `json:"name,omitempty"`
 		Model string      `json:"model"`
 		Axes  []SweepAxis `json:"axes"`
-	}{1, baseHash, req.Name, canon, req.Axes})
+	}{1, baseHash, name, model.String(), axes})
 	if err != nil {
 		return "", err
 	}
@@ -104,19 +102,26 @@ type SweepManifest struct {
 	Failed *sweep.Bitset `json:"failed"`
 }
 
-// Normalize resets bitmaps that disagree with the manifest's own
-// grid size: a shape mismatch means the bits describe some other
-// grid, and claiming zero progress is honest where claiming theirs
-// is not. Every reader of an externally-sourced manifest — the store
+// Sanitize reports whether m describes sweep id — the wire version
+// this code speaks, the same id, and a grid size in (0,
+// sweep.MaxVariants] — and, when it does, resets bitmaps that disagree
+// with that size: a shape mismatch means the bits describe some other
+// grid, and claiming zero progress is honest where claiming theirs is
+// not. Every reader of an externally sourced manifest — the store
 // tiers, a PUT body, the router's cluster fetch — runs it before
-// trusting the bits.
-func (m *SweepManifest) Normalize() {
+// trusting anything in it; the Total bound keeps a hostile or corrupt
+// manifest from sizing the bitmaps.
+func (m *SweepManifest) Sanitize(id string) bool {
+	if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
+		return false
+	}
 	if m.Done.Len() != m.Total {
 		m.Done = sweep.NewBitset(m.Total)
 	}
 	if m.Failed.Len() != m.Total {
 		m.Failed = sweep.NewBitset(m.Total)
 	}
+	return true
 }
 
 // SweepStatus is the body of GET /sweep/{id}: the manifest plus
@@ -158,26 +163,10 @@ func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
 		return nil, false
 	}
 	var m SweepManifest
-	if err := json.Unmarshal(body, &m); err != nil {
+	if json.Unmarshal(body, &m) != nil || !m.Sanitize(id) {
 		return nil, false
 	}
-	if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
-		return nil, false
-	}
-	m.Normalize()
 	return &m, true
-}
-
-// loadOrNewManifest resumes the stored manifest when its grid size
-// still matches, otherwise starts a fresh one.
-func (s *Server) loadOrNewManifest(id string, req SweepRequest, total int) *SweepManifest {
-	if m, ok := s.loadManifest(id); ok && m.Total == total {
-		return m
-	}
-	return &SweepManifest{
-		Version: 1, ID: id, Request: req, Total: total,
-		Done: sweep.NewBitset(total), Failed: sweep.NewBitset(total),
-	}
 }
 
 // checkpointManifest persists m, first merging the stored copy's
@@ -207,26 +196,15 @@ func (s *Server) checkpointManifest(m *SweepManifest) {
 	s.sweepCheckpoints.Inc()
 }
 
-// handleSweepStatus serves /sweep/{id}: GET returns the manifest with
-// derived progress counts; PUT (the router's checkpoint write-through)
-// merge-persists a manifest into this shard's store.
+// handleSweepStatus serves /sweep/{id}: GET is the session's status
+// read; PUT (the router's checkpoint write-through) merge-persists a
+// manifest into this shard's store.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	switch r.Method {
 	case http.MethodGet:
-		m, ok := s.loadManifest(id)
-		if !ok {
-			s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-			return
-		}
-		body, err := json.Marshal(m.Status())
-		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set(SweepIDHeader, id)
-		s.writeBody(w, http.StatusOK, body, "", "")
+		s.sweeps.Status(w, r)
 	case http.MethodPut:
+		id := r.PathValue("id")
 		raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
@@ -237,87 +215,15 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, http.StatusBadRequest, "parsing manifest: %v", err)
 			return
 		}
-		if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
+		if !m.Sanitize(id) {
 			s.writeError(w, r, http.StatusBadRequest, "manifest does not describe sweep %q", id)
 			return
 		}
-		m.Normalize()
 		s.checkpointManifest(&m)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		s.writeError(w, r, http.StatusMethodNotAllowed, "GET or PUT required")
 	}
-}
-
-// handleSweepResume serves GET /sweep/{id}/resume?after=N: the stored
-// sweep's NDJSON stream restricted to variants with Index > N. The
-// semantics are replay, not delta — every variant past the offset
-// streams again regardless of manifest bits (done ones at cache
-// speed), so duplicate offsets are idempotent and a lost checkpoint
-// can never turn into a silent gap. after defaults to -1 (the whole
-// grid).
-func (s *Server) handleSweepResume(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	after := -1
-	if q := r.URL.Query().Get("after"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "after=%q is not an integer", q)
-			return
-		}
-		after = n
-	}
-	if after < -1 {
-		after = -1
-	}
-	id := r.PathValue("id")
-	m, ok := s.loadManifest(id)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	s.sweepResumes.Inc()
-	rid, err := s.requestIdent(r, sched.Batch)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.streamSweep(w, r, m.Request, after, rid)
-}
-
-// handleSweepStoredAnalyze serves POST /sweep/{id}/analyze: the
-// analysis selector in the body is applied to the STORED sweep's
-// grid. A completed sweep re-analyzes with zero simulations — every
-// variant is a cache tier hit — and the document is byte-identical
-// to POST /sweep/analyze with the full grid inlined, because both
-// run the same collect-and-aggregate path.
-func (s *Server) handleSweepStoredAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var sel agg.Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sel); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "parsing analysis selector: %v", err)
-		return
-	}
-	id := r.PathValue("id")
-	m, ok := s.loadManifest(id)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	aid, err := s.requestIdent(r, sched.Batch)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.analyzeGrid(w, r, AnalyzeRequest{SweepRequest: m.Request, Request: sel}, aid)
 }
 
 // handleResults serves the router's stolen-variant side channel.
@@ -419,14 +325,11 @@ func ResultKey(model string, hash string) (string, error) {
 	if !validSpecHash(hash) {
 		return "", fmt.Errorf("%q is not a spec content hash", hash)
 	}
-	m, compare, err := sweepModel(model)
+	m, err := parseSweepModel(model)
 	if err != nil {
 		return "", err
 	}
-	if compare {
-		return compareKey(hash), nil
-	}
-	return runKey(m, hash), nil
+	return m.Key(hash), nil
 }
 
 // ValidResultKey reports whether key names a result slot /results

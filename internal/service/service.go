@@ -59,7 +59,7 @@ import (
 
 // Options sizes a server.
 type Options struct {
-	// Workers is the run-farm worker count (<= 0: one per CPU).
+	// Workers is how many simulations run at once (<= 0: one per CPU).
 	Workers int
 	// Queue is the bounded job-queue depth PER CLASS (<= 0: 2x
 	// workers): a full batch queue rejects batch submissions and
@@ -99,11 +99,6 @@ type Options struct {
 	// with an invalid value — rejected 400) queues as
 	// sched.DefaultTenant.
 	TenantHeader string
-	// DisableFairness collapses scheduling to one tenant and one
-	// class — a single FIFO queue with a single cap, the pre-fairness
-	// behavior. An operational escape hatch (-fair=false), not a
-	// recommended mode.
-	DisableFairness bool
 }
 
 // DefaultCacheEntries is the default result-cache capacity.
@@ -145,7 +140,10 @@ type Server struct {
 	maxSpecCycles                                        uint64
 	maxSweepVariants                                     int
 	tenantHeader                                         string
-	fairnessOff                                          bool
+
+	// sweeps serves the sweep endpoints over collectRows and this
+	// server's manifest store.
+	sweeps *SweepSession[SweepRow]
 
 	// manifestMu serializes sweep-manifest read-merge-write
 	// checkpoints, so two streams of the same sweep id never lose
@@ -243,11 +241,23 @@ func New(opt Options) (*Server, error) {
 		maxSpecCycles:    maxSpecCycles,
 		maxSweepVariants: opt.MaxSweepVariants,
 		tenantHeader:     opt.TenantHeader,
-		fairnessOff:      opt.DisableFairness,
 		since:            time.Now(),
 	}
 	s.buildScenarioLibrary()
 	s.initMetrics()
+	s.sweeps = &SweepSession[SweepRow]{
+		ScenarioByName: s.scenarioByName,
+		MaxVariants:    s.maxSweepVariants,
+		CheckCycleCap:  s.checkCycleCap,
+		Bind:           s.bindSweep,
+		Load:           func(_ context.Context, id string) (*SweepManifest, bool) { return s.loadManifest(id) },
+		Checkpoint:     s.checkpointManifest,
+		Row:            func(row SweepRow) SweepRow { return row },
+		ErrorRow:       func(row SweepRow) SweepRow { return row },
+		WriteError:     s.writeError,
+		Rows:           s.sweepRows,
+		Resumes:        s.sweepResumes,
+	}
 	s.mux = http.NewServeMux()
 	// Every endpoint goes through the instrumentation middleware: the
 	// request-ID contract and the per-endpoint series cover the whole
@@ -258,11 +268,11 @@ func New(opt Options) (*Server, error) {
 	}
 	handle("/run", http.HandlerFunc(s.handleRun))
 	handle("/compare", http.HandlerFunc(s.handleCompare))
-	handle("/sweep", http.HandlerFunc(s.handleSweep))
-	handle("/sweep/analyze", http.HandlerFunc(s.handleAnalyze))
+	handle("/sweep", http.HandlerFunc(s.sweeps.Sweep))
+	handle("/sweep/analyze", http.HandlerFunc(s.sweeps.Analyze))
 	handle("/sweep/{id}", http.HandlerFunc(s.handleSweepStatus))
-	handle("/sweep/{id}/resume", http.HandlerFunc(s.handleSweepResume))
-	handle("/sweep/{id}/analyze", http.HandlerFunc(s.handleSweepStoredAnalyze))
+	handle("/sweep/{id}/resume", http.HandlerFunc(s.sweeps.Resume))
+	handle("/sweep/{id}/analyze", http.HandlerFunc(s.sweeps.StoredAnalyze))
 	handle("/results", http.HandlerFunc(s.handleResults))
 	handle("/scenarios", http.HandlerFunc(s.handleScenarios))
 	handle("/healthz", http.HandlerFunc(s.handleHealthz))
@@ -444,15 +454,15 @@ func (s *Server) checkCycleCap(sp spec.Spec) error {
 	return nil
 }
 
-// CheckGridCycleCaps runs check against every distinct max_cycles
+// checkGridCycleCaps runs check against every distinct max_cycles
 // value the grid can produce WITHOUT expanding it: a variant's
 // effective budget is either the last max_cycles axis value applied
 // or the base spec's, so checking the base (or each value of the
 // last max_cycles axis against a base clone) is exact at O(axis
 // values) cost — a 100k-variant grid's cycle cap costs a handful of
-// clones, not 100k spec builds. Shared with the shard router, whose
-// check carries the cluster-cap message.
-func CheckGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
+// clones, not 100k spec builds. check is the tier's own cap (the
+// router's carries the cluster-cap message).
+func checkGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
 	var last *sweep.Axis
 	for i := range grid.Axes {
 		if grid.Axes[i].Param == sweep.ParamMaxCycles {
@@ -514,8 +524,7 @@ type ident struct {
 // sched.DefaultTenant bucket; invalid: a 400-worthy error, so bad
 // identifiers can't pollute metric label space), class from X-Class
 // (absent: def — Interactive for /run and /compare, Batch for sweep
-// and analyze paths). With fairness disabled everything collapses to
-// one queue after validation.
+// and analyze paths).
 func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
 	tenant := r.Header.Get(s.tenantHeader)
 	switch {
@@ -532,9 +541,6 @@ func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
 			return ident{}, fmt.Errorf("%s %q is not a scheduling class (want interactive or batch)", ClassHeader, v)
 		}
 		class = c
-	}
-	if s.fairnessOff {
-		return ident{tenant: sched.DefaultTenant, class: sched.Interactive}, nil
 	}
 	return ident{tenant: tenant, class: class}, nil
 }

@@ -14,6 +14,10 @@
 // class's Retry-After and retries instead of failing the stream, so
 // sweeps apply backpressure to themselves rather than starving
 // interactive requests of their 503 signal.
+//
+// This file holds the sweep wire types, grid resolution and the
+// worker's chunk resolver; the protocol around them is the shared
+// SweepSession (session.go).
 package service
 
 import (
@@ -21,9 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -38,17 +40,6 @@ import (
 // chunks (sweepChunkSize variants in memory at a time), so the cap
 // protects simulation budget, not process memory.
 const DefaultMaxSweepVariants = 100_000
-
-// sweepChunkSize is how many expanded variants a sweep holds in
-// memory at once: the grid is walked lazily and resolved chunk by
-// chunk, so a 100k-variant sweep costs O(chunk), not O(grid).
-const sweepChunkSize = 2048
-
-// manifestCheckpointRows is how many emitted rows ride between
-// manifest checkpoints. Small enough that a killed stream loses
-// little progress, large enough that checkpoint writes stay noise
-// next to simulation cost.
-const manifestCheckpointRows = 256
 
 // SweepRequest is the body of POST /sweep — the wire contract shared
 // with frontends (the shard router decodes one to partition its grid).
@@ -125,11 +116,10 @@ func resolveSweepBase(req SweepRequest, byName map[string]spec.Spec) (spec.Spec,
 // grid: it resolves the base workload, builds the axes, sizes the
 // full Cartesian product against max (<= 0: DefaultMaxSweepVariants)
 // and pre-validates every axis value against a clone of the base —
-// all without expanding a single variant. The backend handler and the
-// shard router both call it, so the two tiers of a deployment accept
-// exactly the same grids and enforce exactly the same cap; the old
-// duplicated per-tier checks could (and briefly did) drift. Returns
-// the grid and the product size.
+// all without expanding a single variant. Both tiers' sweep sessions
+// call it, so the two tiers of a deployment accept exactly the same
+// grids and enforce exactly the same cap. Returns the grid and the
+// product size.
 func ResolveSweepGrid(req SweepRequest, byName map[string]spec.Spec, max int) (sweep.Grid, int, error) {
 	base, err := resolveSweepBase(req, byName)
 	if err != nil {
@@ -182,181 +172,25 @@ func ExpandSweepRequest(req SweepRequest, byName map[string]spec.Spec, max int) 
 	return grid.Expand()
 }
 
-// sweepModel resolves the request's model selector.
-func sweepModel(name string) (model core.Model, compare bool, err error) {
-	switch name {
-	case "", "tl", "tlm":
-		return core.TLM, false, nil
-	case "rtl":
-		return core.RTL, false, nil
-	case "compare":
-		return core.TLM, true, nil
-	}
-	return 0, false, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
-}
-
-// handleSweep serves POST /sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req SweepRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
+// bindSweep is the worker's SweepSession.Bind: the request's
+// scheduling identity (batch by default) bound to collectRows.
+func (s *Server) bindSweep(r *http.Request) (ChunkResolver[SweepRow], error) {
 	id, err := s.requestIdent(r, sched.Batch)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	s.streamSweep(w, r, req, -1, id)
+	return func(ctx context.Context, chunk []sweep.Variant, model SweepModel, emit func(SweepRow)) bool {
+		return s.collectRows(ctx, chunk, model, id, emit)
+	}, nil
 }
 
-// streamSweep validates the grid and streams its NDJSON rows — the
-// shared engine of POST /sweep (after = -1: the whole grid) and GET
-// /sweep/{id}/resume (after = the client's high-water mark). Variants
-// execute under rid (normally the caller's tenant in the Batch
-// class). It checkpoints a sweep manifest as rows complete, so the
-// sweep's identity and per-variant progress survive this stream's
-// death.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, after int, rid ident) {
-	grid, total, err := ResolveSweepGrid(req, s.scenarioByName, s.maxSweepVariants)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := CheckGridCycleCaps(grid, s.checkCycleCap); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	model, compare, err := sweepModel(req.Model)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := SweepID(req, s.scenarioByName)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	man := s.loadOrNewManifest(id, req, total)
-
-	// The stream is committed: from here, per-variant failures are
-	// rows with an error field, not HTTP errors.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
-	w.Header().Set(SweepIDHeader, id)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	// Push the headers out now: on an all-miss grid no row may flush
-	// for a while, and a client (or the shard router) pacing itself on
-	// X-Sweep-Variants must not block on a header buffered server-side.
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	emitted, errored, sinceCheckpoint := 0, 0, 0
-	emit := func(row SweepRow) {
-		enc.Encode(row)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		s.sweepRows.Inc()
-		emitted++
-		if row.Error != "" {
-			errored++
-			man.Failed.Set(row.Index)
-		} else {
-			man.Done.Set(row.Index)
-			man.Failed.Clear(row.Index)
-		}
-		if sinceCheckpoint++; sinceCheckpoint >= manifestCheckpointRows {
-			sinceCheckpoint = 0
-			s.checkpointManifest(man)
-		}
-	}
-
-	// Client gone mid-grid: no terminal row — a truncated stream IS
-	// truncated, and saying otherwise to a half-closed socket helps
-	// nobody. The final checkpoint still runs: progress made before
-	// the disconnect is exactly what a resume wants to skip.
-	distinct, complete := s.collectGrid(r.Context(), grid, after, model, compare, rid, emit)
-	if complete {
-		// The terminal summary row runs only when every variant
-		// produced a row — nothing here fakes completion.
-		enc.Encode(SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		// A completed walk knows the deduplicated variant count even
-		// when it only EMITTED a suffix — the walk itself always
-		// enumerates from index 0 — so a resume that reaches the end
-		// can mark the sweep complete just like the initial stream.
-		man.Variants = distinct
-	}
-	s.checkpointManifest(man)
-}
-
-// collectGrid walks the grid lazily and resolves it in bounded
-// chunks: at most sweepChunkSize expanded variants exist at a time,
-// so grid memory stays O(chunk) while the emit contract matches the
-// old fully-materialized path row for row. Variants with Index <=
-// after are skipped (their rows streamed before a disconnect); build
-// failures on individual grid points become error rows, not stream
-// deaths. Returns the deduplicated variant count of the FULL walk
-// (valid only when complete) and whether the walk finished before
-// ctx ended.
-func (s *Server) collectGrid(ctx context.Context, grid sweep.Grid, after int, model core.Model, compare bool, id ident, emit func(SweepRow)) (distinct int, complete bool) {
-	chunk := make([]sweep.Variant, 0, sweepChunkSize)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		ok := s.collectRows(ctx, chunk, model, compare, id, emit)
-		chunk = chunk[:0]
-		return ok
-	}
-	err := grid.Walk(func(v sweep.Variant, verr error) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if verr != nil {
-			if v.Index > after {
-				emit(SweepRow{Index: v.Index, Name: v.Spec.Name, Params: v.Params, Error: verr.Error()})
-			}
-			return nil
-		}
-		distinct++
-		if v.Index <= after {
-			return nil
-		}
-		chunk = append(chunk, v)
-		if len(chunk) >= sweepChunkSize {
-			if !flush() {
-				return context.Canceled
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return distinct, false
-	}
-	return distinct, flush()
-}
-
-// collectRows resolves one chunk of variants through the shared
-// cache/singleflight/pool path and invokes emit — always from this
-// goroutine — once per variant in completion order. It is the one
-// chunk-resolution engine behind /sweep, /sweep/{id}/resume and both
-// analyze endpoints (via collectGrid), so none of them can diverge
-// on caching, backpressure or failure semantics. Returns false when
-// ctx ended first — the row set is then a subset and must not be
-// read as the whole chunk.
-func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model core.Model, compare bool, id ident, emit func(SweepRow)) bool {
+// collectRows is the worker's chunk resolver: it resolves one chunk
+// of variants through the shared cache/singleflight/scheduler path and
+// invokes emit — always from this goroutine — once per variant in
+// completion order, so /sweep, resume and both analyze endpoints
+// cannot diverge on caching, backpressure or failure semantics.
+// Returns false when ctx ended first.
+func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model SweepModel, id ident, emit func(SweepRow)) bool {
 	// First pass: serve every memory-cached variant immediately, so a
 	// warm sweep streams at memory speed no matter how busy the pool
 	// is, and collect the rest for the workers. Disk-held variants
@@ -365,7 +199,7 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 	// saturated, and the disk tier is probed exactly once per variant.
 	var pending []sweep.Variant
 	for _, v := range variants {
-		if body, ok := s.lookupMemory(s.sweepKey(v, model, compare)); ok {
+		if body, ok := s.lookupMemory(model.Key(v.Hash)); ok {
 			emit(sweepRow(v, "hit", http.StatusOK, body))
 			continue
 		}
@@ -384,7 +218,7 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 	for i := 0; i < workersN; i++ {
 		go func() {
 			for v := range work {
-				row, ok := s.resolveVariant(ctx, v, model, compare, id)
+				row, ok := s.resolveVariant(ctx, v, model, id)
 				if !ok {
 					return // client gone; in-flight jobs still fill the cache
 				}
@@ -417,20 +251,10 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 	return true
 }
 
-// sweepKey is the cache key a variant's result lives under — the same
-// key a direct /run or /compare of that spec uses, so sweeps and
-// single requests share one result space.
-func (s *Server) sweepKey(v sweep.Variant, model core.Model, compare bool) string {
-	if compare {
-		return compareKey(v.Hash)
-	}
-	return runKey(model, v.Hash)
-}
-
 // resolveVariant computes (or replays) one variant through the shared
 // execute path, retrying with backoff while its class queue is
 // saturated. ok=false means the request context ended first.
-func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core.Model, compare bool, id ident) (SweepRow, bool) {
+func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model SweepModel, id ident) (SweepRow, bool) {
 	// Compile the spec inside the job, not here: a warm variant is
 	// answered from a cache tier or a coalesced flight without paying
 	// generator compilation (a restarted server replaying a big grid
@@ -442,12 +266,12 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core
 		if err != nil {
 			return nil, err
 		}
-		if compare {
+		if model.Compare {
 			return computeCompare(v.Spec, v.Hash, wl)(jobCtx, tm)
 		}
-		return computeRun(v.Spec, v.Hash, model, wl)(jobCtx, tm)
+		return computeRun(v.Spec, v.Hash, model.Model, wl)(jobCtx, tm)
 	}
-	key := s.sweepKey(v, model, compare)
+	key := model.Key(v.Hash)
 	for attempt := 0; ; attempt++ {
 		status, body, disposition, _, err := s.executeOnce(ctx, key, id, compute, attempt > 0)
 		if err != nil {
@@ -478,22 +302,29 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core
 // sweepRow renders one emitted row. Non-200 statuses surface the
 // body's error message in the row's error field.
 func sweepRow(v sweep.Variant, disposition string, status int, body []byte) SweepRow {
-	row := SweepRow{
-		Index:  v.Index,
-		Name:   v.Spec.Name,
-		Hash:   v.Hash,
-		Params: v.Params,
-	}
+	row := VariantRow(v)
 	if status == http.StatusOK {
 		row.Cache = disposition
 		row.Result = json.RawMessage(body)
 		return row
 	}
+	row.Error = ErrorMessage(status, body)
+	return row
+}
+
+// VariantRow is v's row with only its identity filled in: index, name,
+// content hash and parameters.
+func VariantRow(v sweep.Variant) SweepRow {
+	return SweepRow{Index: v.Index, Name: v.Spec.Name, Hash: v.Hash, Params: v.Params}
+}
+
+// ErrorMessage is what a non-200 endpoint answer puts in a row's error
+// field: the body's error message, or the bare status when it has
+// none.
+func ErrorMessage(status int, body []byte) string {
 	var e errorResponse
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		row.Error = e.Error
-	} else {
-		row.Error = fmt.Sprintf("status %d", status)
+		return e.Error
 	}
-	return row
+	return fmt.Sprintf("status %d", status)
 }

@@ -29,34 +29,34 @@ func TestRankHeadsWithOwnerAndPermutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 3, 5, 8} {
-			ranks := Rank(hash, n)
+			ranks := RankIDs(hash, contiguous(n))
 			if len(ranks) != n {
-				t.Fatalf("Rank(%q, %d) has %d entries", hash, n, len(ranks))
+				t.Fatalf("RankIDs(%q, 0..%d) has %d entries", hash, n-1, len(ranks))
 			}
-			if ranks[0] != Owner(hash, n) {
-				t.Fatalf("Rank(%q, %d)[0] = %d, Owner = %d", hash, n, ranks[0], Owner(hash, n))
+			if ranks[0] != OwnerID(hash, contiguous(n)) {
+				t.Fatalf("RankIDs(%q, 0..%d)[0] = %d, OwnerID = %d", hash, n-1, ranks[0], OwnerID(hash, contiguous(n)))
 			}
 			seen := make([]bool, n)
 			for _, idx := range ranks {
 				if idx < 0 || idx >= n || seen[idx] {
-					t.Fatalf("Rank(%q, %d) = %v is not a permutation", hash, n, ranks)
+					t.Fatalf("RankIDs(%q, 0..%d) = %v is not a permutation", hash, n-1, ranks)
 				}
 				seen[idx] = true
 			}
 			// Determinism: the failover order must be the same on every
 			// router replica, or replicas would place failover traffic on
 			// different shards and shred the cache.
-			again := Rank(hash, n)
+			again := RankIDs(hash, contiguous(n))
 			for i := range ranks {
 				if ranks[i] != again[i] {
-					t.Fatalf("Rank(%q, %d) unstable: %v vs %v", hash, n, ranks, again)
+					t.Fatalf("RankIDs(%q, 0..%d) unstable: %v vs %v", hash, n-1, ranks, again)
 				}
 			}
 		}
 	}
 	// Degenerate single-shard cluster: rank is trivially [0].
-	if r := Rank("anything", 1); len(r) != 1 || r[0] != 0 {
-		t.Fatalf("Rank(_, 1) = %v", r)
+	if r := RankIDs("anything", contiguous(1)); len(r) != 1 || r[0] != 0 {
+		t.Fatalf("RankIDs(_, {0}) = %v", r)
 	}
 }
 
@@ -176,7 +176,7 @@ func specOwnedBy(t *testing.T, n, want int) (map[string]any, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Owner(hash, n) == want {
+		if OwnerID(hash, contiguous(n)) == want {
 			return map[string]any{"spec": sp, "model": "tl"}, hash
 		}
 	}
@@ -276,7 +276,7 @@ func TestRouterSweepKillThenRecover(t *testing.T) {
 	variants := expandGrid(t, 47)
 	bOwned := 0
 	for _, v := range variants {
-		if Owner(v.Hash, 2) == 1 {
+		if OwnerID(v.Hash, contiguous(2)) == 1 {
 			bOwned++
 		}
 	}
@@ -342,7 +342,12 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 	// cluster still healthy for the next caller.
 	inA, tsA := chaosBackend(t, service.Options{Workers: 2})
 	_, tsB := newBackend(t, service.Options{Workers: 2})
-	rt, err := New(Options{Backends: []string{tsA.URL, tsB.URL}})
+	// The router gets a transport of its own so the drain check below
+	// can close its pooled keep-alive connections: an idle connection
+	// left by the final manifest checkpoint is reuse, not a leak.
+	backendTransport := &http.Transport{}
+	t.Cleanup(backendTransport.CloseIdleConnections)
+	rt, err := New(Options{Backends: []string{tsA.URL, tsB.URL}, HTTP: &http.Client{Transport: backendTransport}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +385,7 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines %d, baseline %d — sweep leaked", runtime.NumGoroutine(), baseline)
 		}
+		backendTransport.CloseIdleConnections()
 		time.Sleep(10 * time.Millisecond)
 	}
 

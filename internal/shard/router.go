@@ -49,6 +49,11 @@
 // the id's rank order), so a disconnected client replays the missing
 // rows via GET /sweep/{id}/resume?after=N and a stored sweep
 // re-analyzes via POST /sweep/{id}/analyze with zero re-simulation.
+//
+// The sweep protocol itself — grid walk, stream, checkpoint cadence,
+// resume and analysis — is the worker's own service.SweepSession; the
+// router plugs in its chunk resolver (collectChunk) and its manifest
+// store (fetchManifest, checkpointManifest).
 package shard
 
 import (
@@ -67,7 +72,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -214,6 +218,7 @@ type Router struct {
 	httpClient       *http.Client
 	sup              *Supervisor
 	cache            *resultCache
+	sweeps           *service.SweepSession[Row]
 	stop             chan struct{}
 	stopOnce         sync.Once
 	since            time.Time
@@ -294,6 +299,19 @@ func New(opt Options) (*Router, error) {
 	rt.topo = newView(1, shards)
 	rt.nextID = len(shards)
 	rt.initMetrics()
+	rt.sweeps = &service.SweepSession[Row]{
+		ScenarioByName: rt.scenarioByName,
+		MaxVariants:    rt.maxSweepVariants,
+		CheckCycleCap:  rt.checkCycleCap,
+		Bind:           rt.bindSweep,
+		Load:           rt.fetchManifest,
+		Checkpoint:     rt.checkpointManifest,
+		Row:            func(row Row) service.SweepRow { return row.SweepRow },
+		ErrorRow:       func(row service.SweepRow) Row { return Row{SweepRow: row, Shard: -1} },
+		WriteError:     writeError,
+		Rows:           rt.sweepRows,
+		Resumes:        rt.sweepResumes,
+	}
 	rt.mux = http.NewServeMux()
 	// Same middleware as the worker: every endpoint is counted, timed
 	// and carries the request-ID contract — the router mints the ID
@@ -303,11 +321,11 @@ func New(opt Options) (*Router, error) {
 	}
 	handle("/run", func(w http.ResponseWriter, r *http.Request) { rt.handleProxy(w, r, "/run") })
 	handle("/compare", func(w http.ResponseWriter, r *http.Request) { rt.handleProxy(w, r, "/compare") })
-	handle("/sweep", rt.handleSweep)
-	handle("/sweep/analyze", rt.handleAnalyze)
-	handle("/sweep/{id}", rt.handleSweepStatus)
-	handle("/sweep/{id}/resume", rt.handleSweepResume)
-	handle("/sweep/{id}/analyze", rt.handleSweepStoredAnalyze)
+	handle("/sweep", rt.sweeps.Sweep)
+	handle("/sweep/analyze", rt.sweeps.Analyze)
+	handle("/sweep/{id}", rt.sweeps.Status)
+	handle("/sweep/{id}/resume", rt.sweeps.Resume)
+	handle("/sweep/{id}/analyze", rt.sweeps.StoredAnalyze)
 	handle("/admin/shards", rt.handleAdminShards)
 	handle("/admin/shards/{id}/drain", rt.handleAdminDrain)
 	handle("/scenarios", rt.handleScenarios)
@@ -566,22 +584,6 @@ func (rt *Router) identHeader(r *http.Request, defClass string) (http.Header, er
 	return hdr, nil
 }
 
-// resultKeyFor maps a variant's endpoint and model selector onto the
-// content-addressed store key its result lives under — the shared
-// vocabulary of the backend store, the owner probe, the write-back
-// and the router cache. Empty when the hash is malformed.
-func resultKeyFor(path, runModel, hash string) string {
-	model := runModel
-	if path == "/compare" {
-		model = "compare"
-	}
-	key, err := service.ResultKey(model, hash)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
 // cacheLookup probes the router result cache, counting the hit or
 // miss. Always a miss when the cache is disabled or the key is
 // unusable (then uncounted: no probe happened).
@@ -644,7 +646,13 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 	vw := rt.view()
 	ranks := RankIDs(hash, vw.ids)
 	owner := ranks[0]
-	key := resultKeyFor(path, req.Model, hash)
+	// The router cache's key; a malformed model selector leaves it
+	// empty, which skips the cache (the backend answers the 400).
+	keyModel := req.Model
+	if path == "/compare" {
+		keyModel = "compare"
+	}
+	key, _ := service.ResultKey(keyModel, hash)
 	if cached, ok := rt.cacheLookup(key); ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", routerHit)
@@ -932,180 +940,20 @@ type Row struct {
 	Stolen   string `json:"stolen,omitempty"`
 }
 
-// sweepEndpoint maps the request's model selector onto the per-variant
-// backend endpoint, mirroring the backend's own model switch.
-func sweepEndpoint(model string) (path, runModel string, err error) {
-	switch model {
-	case "", "tl", "tlm", "rtl":
-		return "/run", model, nil
-	case "compare":
-		return "/compare", "", nil
-	}
-	return "", "", fmt.Errorf("unknown model %q (want tl, rtl or compare)", model)
-}
-
-// sweepChunkSize and manifestCheckpointRows mirror the backend's
-// values (internal/service): the two tiers buffer the same number of
-// expanded variants and checkpoint at the same row cadence, so their
-// streams degrade identically under the same failures.
-const (
-	sweepChunkSize         = 2048
-	manifestCheckpointRows = 256
-)
-
-// handleSweep serves POST /sweep: walk the grid in bounded chunks,
-// route each variant to its owning shard as an individual /run (or
-// /compare) call — work-stolen when the owner's queue runs deep — and
-// merge the results into one completion-ordered stream. Per-variant
-// forwarding — rather than forwarding sub-grids — is what lets every
-// variant share the backend's full cache/coalescing path with direct
-// requests, and what makes failover per-variant: a dead shard's
-// keyspace is simply computed by the next-ranked live shard.
-func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req service.SweepRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
+// bindSweep is the router's SweepSession.Bind: the caller's
+// scheduling identity (tenant + class, batch by default) as the header
+// block every per-variant backend call carries, bound to collectChunk
+// over the membership view current at each chunk, so a sweep spanning
+// an admin resize starts using the new membership at the next chunk
+// boundary.
+func (rt *Router) bindSweep(r *http.Request) (service.ChunkResolver[Row], error) {
 	schedHdr, err := rt.identHeader(r, sched.Batch.String())
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rt.streamSweep(w, r, req, -1, schedHdr)
-}
-
-// streamSweep validates the grid and streams its NDJSON rows — the
-// shared engine of POST /sweep (after = -1: the whole grid) and GET
-// /sweep/{id}/resume (after = the client's high-water mark). The
-// router mirrors the backend's checkpointing: the sweep's manifest is
-// written through to a backend store as rows complete, so a sweep's
-// identity and progress survive the death of the client, the router
-// AND any single shard. schedHdr is the caller's scheduling identity
-// (tenant + class, normally batch) stamped on every per-variant
-// backend call.
-func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, req service.SweepRequest, after int, schedHdr http.Header) {
-	grid, total, err := service.ResolveSweepGrid(req, rt.scenarioByName, rt.maxSweepVariants)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := service.CheckGridCycleCaps(grid, rt.checkCycleCap); err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	path, runModel, err := sweepEndpoint(req.Model)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := service.SweepID(req, rt.scenarioByName)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	man := rt.loadOrNewManifest(r.Context(), id, req, total)
-
-	// The stream is committed: from here every failure is a row, and
-	// completion is the terminal summary line.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
-	w.Header().Set(service.SweepIDHeader, id)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-
-	emitted, errored, sinceCheckpoint := 0, 0, 0
-	emit := func(row Row) {
-		enc.Encode(row)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		rt.sweepRows.Inc()
-		emitted++
-		if row.Error != "" {
-			errored++
-			man.Failed.Set(row.Index)
-		} else {
-			man.Done.Set(row.Index)
-			man.Failed.Clear(row.Index)
-		}
-		if sinceCheckpoint++; sinceCheckpoint >= manifestCheckpointRows {
-			sinceCheckpoint = 0
-			rt.checkpointManifest(man)
-		}
-	}
-	distinct, complete := rt.collectGrid(r.Context(), grid, after, path, runModel, schedHdr, emit)
-	if complete {
-		enc.Encode(service.SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		// A completed walk knows the deduplicated variant count even
-		// when it only EMITTED a suffix — the walk itself always
-		// enumerates from index 0 — so a resume that reaches the end
-		// can mark the sweep complete just like the initial stream.
-		man.Variants = distinct
-	}
-	// The final checkpoint runs even when the client vanished: the
-	// progress made before the disconnect is exactly what its resume
-	// wants to skip.
-	rt.checkpointManifest(man)
-}
-
-// collectGrid walks the grid lazily and resolves it in bounded,
-// work-stolen chunks — the router twin of the backend's collectGrid:
-// same chunk size, same skip-at-or-below-after replay semantics, same
-// build-errors-become-rows rule. Each chunk routes against a fresh
-// topology snapshot, so a sweep spanning an admin resize starts using
-// the new membership at the next chunk boundary. Returns the
-// deduplicated variant count of the FULL walk (valid only when
-// complete) and whether the walk finished before ctx ended.
-func (rt *Router) collectGrid(ctx context.Context, grid sweep.Grid, after int, path, runModel string, schedHdr http.Header, emit func(Row)) (distinct int, complete bool) {
-	chunk := make([]sweep.Variant, 0, sweepChunkSize)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		ok := rt.collectChunk(ctx, rt.view(), chunk, path, runModel, schedHdr, emit)
-		chunk = chunk[:0]
-		return ok
-	}
-	err := grid.Walk(func(v sweep.Variant, verr error) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if verr != nil {
-			if v.Index > after {
-				emit(Row{SweepRow: service.SweepRow{Index: v.Index, Name: v.Spec.Name, Params: v.Params, Error: verr.Error()}, Shard: -1})
-			}
-			return nil
-		}
-		distinct++
-		if v.Index <= after {
-			return nil
-		}
-		chunk = append(chunk, v)
-		if len(chunk) >= sweepChunkSize {
-			if !flush() {
-				return context.Canceled
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return distinct, false
-	}
-	return distinct, flush()
+	return func(ctx context.Context, chunk []sweep.Variant, model service.SweepModel, emit func(Row)) bool {
+		return rt.collectChunk(ctx, rt.view(), chunk, model, schedHdr, emit)
+	}, nil
 }
 
 // collectChunk resolves one chunk of variants across the cluster and
@@ -1122,7 +970,7 @@ func (rt *Router) collectGrid(ctx context.Context, grid sweep.Grid, after int, p
 // about to clear anyway is left alone (ownership still decides cache
 // placement), while a skewed chunk stops being wall-clock-bounded by
 // its hottest shard. The two ends never contend for the same variant.
-func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, path, runModel string, schedHdr http.Header, emit func(Row)) bool {
+func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, model service.SweepModel, schedHdr http.Header, emit func(Row)) bool {
 	pos := make(map[int]int, len(vw.shards))
 	for i, sh := range vw.shards {
 		pos[sh.id] = i
@@ -1173,9 +1021,9 @@ func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.V
 					var row Row
 					var alive bool
 					if ownerPos == self {
-						row, alive = rt.resolveVariant(ctx, vw, v, path, runModel, schedHdr)
+						row, alive = rt.resolveVariant(ctx, vw, v, model, schedHdr)
 					} else {
-						row, alive = rt.resolveStolen(ctx, vw, v, vw.shards[ownerPos].id, vw.shards[self].id, path, runModel, schedHdr)
+						row, alive = rt.resolveStolen(ctx, vw, v, vw.shards[ownerPos].id, vw.shards[self].id, model, schedHdr)
 					}
 					if !alive {
 						return // client gone
@@ -1203,93 +1051,6 @@ func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.V
 	return ctx.Err() == nil
 }
 
-// handleAnalyze serves POST /sweep/analyze: walk the grid exactly
-// like /sweep and aggregate ROUTER-side into the same analysis
-// document a single process produces — byte-identical for identical
-// results, because both ends run the identical fold
-// (service.AnalyzeInput + agg.Analyze). Failover keeps the document
-// complete across single-shard loss; only a variant no shard could
-// serve surfaces as explicit incomplete metadata (failed list,
-// analyzed < variants) — never a silently-shrunk frontier that reads
-// like the whole design space.
-func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req service.AnalyzeRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	schedHdr, err := rt.identHeader(r, sched.Batch.String())
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rt.analyzeGrid(w, r, req, schedHdr)
-}
-
-// analyzeGrid runs the decoded analysis request — the shared engine
-// of POST /sweep/analyze (grid inlined) and POST /sweep/{id}/analyze
-// (grid from the stored manifest). Rows fold into metric inputs as
-// they complete, so a 100k-variant analysis holds per-variant
-// metrics, never the full result bodies.
-func (rt *Router) analyzeGrid(w http.ResponseWriter, r *http.Request, req service.AnalyzeRequest, schedHdr http.Header) {
-	grid, total, err := service.ResolveSweepGrid(req.SweepRequest, rt.scenarioByName, rt.maxSweepVariants)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := service.CheckGridCycleCaps(grid, rt.checkCycleCap); err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	path, runModel, err := sweepEndpoint(req.Model)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	compare := path == "/compare"
-	// Reject a bad analysis selector before any backend cost, with the
-	// backend's own validation — router and worker accept exactly the
-	// same analyses.
-	if err := req.Request.Validate(compare); err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := service.SweepID(req.SweepRequest, rt.scenarioByName)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	inputs := make([]agg.Input, 0, min(total, sweepChunkSize))
-	distinct, complete := rt.collectGrid(r.Context(), grid, -1, path, runModel, schedHdr, func(row Row) {
-		inputs = append(inputs, service.AnalyzeInput(compare, row.SweepRow))
-	})
-	if !complete {
-		return // client gone
-	}
-	doc, err := agg.Analyze(req.Request, compare, service.AggAxes(req.Axes), distinct, inputs)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
-	w.Header().Set(service.SweepIDHeader, id)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
 // resolveVariant runs one variant against the cluster: the router
 // cache first, then the shards in the variant's rendezvous rank
 // order, starting at its owner. On each live shard, saturation 503s
@@ -1302,22 +1063,17 @@ func (rt *Router) analyzeGrid(w http.ResponseWriter, r *http.Request, req servic
 // over — every shard would answer identically. The error row exists
 // only when every shard refused. ok=false means the client's context
 // ended.
-func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant, path, runModel string, schedHdr http.Header) (Row, bool) {
+func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant, model service.SweepModel, schedHdr http.Header) (Row, bool) {
 	ranks := RankIDs(v.Hash, vw.ids)
 	owner := ranks[0]
-	row := Row{SweepRow: service.SweepRow{
-		Index:  v.Index,
-		Name:   v.Spec.Name,
-		Hash:   v.Hash,
-		Params: v.Params,
-	}, Shard: owner}
-	key := resultKeyFor(path, runModel, v.Hash)
+	row := Row{SweepRow: service.VariantRow(v), Shard: owner}
+	key := model.Key(v.Hash)
 	if cached, ok := rt.cacheLookup(key); ok {
 		row.Cache = routerHit
 		row.Result = json.RawMessage(cached)
 		return row, true
 	}
-	reqBody, err := json.Marshal(service.RunRequest{Spec: &v.Spec, Model: runModel})
+	reqBody, err := json.Marshal(model.Request(&v.Spec))
 	if err != nil {
 		row.Error = err.Error()
 		return row, true
@@ -1334,7 +1090,7 @@ func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant,
 		}
 	attempt:
 		for {
-			status, hdr, body, err := rt.post(ctx, sh, path, reqBody, schedHdr)
+			status, hdr, body, err := rt.post(ctx, sh, model.Endpoint(), reqBody, schedHdr)
 			if err != nil {
 				if ctx.Err() != nil {
 					return Row{}, false
@@ -1379,14 +1135,7 @@ func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant,
 				// would just repeat it more expensively.
 				sh.breaker.success()
 				row.Shard = id
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(body, &e) == nil && e.Error != "" {
-					row.Error = e.Error
-				} else {
-					row.Error = fmt.Sprintf("status %d", status)
-				}
+				row.Error = service.ErrorMessage(status, body)
 				return row, true
 			}
 		}
@@ -1409,46 +1158,36 @@ func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant,
 // simulated. A dead or terminal thief sends the variant down the
 // ordinary rank-walk (resolveVariant) — stealing may change who
 // computes, never whether the row appears.
-func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, owner, thief int, path, runModel string, schedHdr http.Header) (Row, bool) {
-	key := resultKeyFor(path, runModel, v.Hash)
+func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, owner, thief int, model service.SweepModel, schedHdr http.Header) (Row, bool) {
+	key := model.Key(v.Hash)
 	if cached, ok := rt.cacheLookup(key); ok {
-		return Row{SweepRow: service.SweepRow{
-			Index:  v.Index,
-			Name:   v.Spec.Name,
-			Hash:   v.Hash,
-			Params: v.Params,
-			Cache:  routerHit,
-			Result: json.RawMessage(cached),
-		}, Shard: owner}, true
+		row := Row{SweepRow: service.VariantRow(v), Shard: owner}
+		row.Cache, row.Result = routerHit, cached
+		return row, true
 	}
-	if row, ok, done := rt.probeOwner(ctx, vw, v, owner, path, runModel); done {
+	if row, ok, done := rt.probeOwner(ctx, vw, v, owner, model); done {
 		return Row{}, false
 	} else if ok {
 		return row, true
 	}
 	sh := vw.byID[thief]
 	if !sh.breaker.allow() {
-		return rt.resolveVariant(ctx, vw, v, path, runModel, schedHdr)
+		return rt.resolveVariant(ctx, vw, v, model, schedHdr)
 	}
-	row := Row{SweepRow: service.SweepRow{
-		Index:  v.Index,
-		Name:   v.Spec.Name,
-		Hash:   v.Hash,
-		Params: v.Params,
-	}, Shard: thief}
-	reqBody, err := json.Marshal(service.RunRequest{Spec: &v.Spec, Model: runModel})
+	row := Row{SweepRow: service.VariantRow(v), Shard: thief}
+	reqBody, err := json.Marshal(model.Request(&v.Spec))
 	if err != nil {
 		row.Error = err.Error()
 		return row, true
 	}
 	for {
-		status, hdr, body, err := rt.post(ctx, sh, path, reqBody, schedHdr)
+		status, hdr, body, err := rt.post(ctx, sh, model.Endpoint(), reqBody, schedHdr)
 		if err != nil {
 			if ctx.Err() != nil {
 				return Row{}, false
 			}
 			sh.breaker.failure()
-			return rt.resolveVariant(ctx, vw, v, path, runModel, schedHdr)
+			return rt.resolveVariant(ctx, vw, v, model, schedHdr)
 		}
 		switch {
 		case status == http.StatusOK:
@@ -1470,19 +1209,12 @@ func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, 
 			}
 		case status == http.StatusServiceUnavailable:
 			sh.breaker.failure()
-			return rt.resolveVariant(ctx, vw, v, path, runModel, schedHdr)
+			return rt.resolveVariant(ctx, vw, v, model, schedHdr)
 		default:
 			// Deterministic error: every shard answers identically, so
 			// the thief's answer IS the answer.
 			sh.breaker.success()
-			var e struct {
-				Error string `json:"error"`
-			}
-			if json.Unmarshal(body, &e) == nil && e.Error != "" {
-				row.Error = e.Error
-			} else {
-				row.Error = fmt.Sprintf("status %d", status)
-			}
+			row.Error = service.ErrorMessage(status, body)
 			return row, true
 		}
 	}
@@ -1495,11 +1227,8 @@ func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, 
 // circuit, transport error, 404, anything unexpected — is a clean
 // miss: the probe is an optimization, never a gate, so the steal
 // proceeds and correctness rests on the thief as before.
-func (rt *Router) probeOwner(ctx context.Context, vw *view, v sweep.Variant, owner int, path, runModel string) (row Row, hit, done bool) {
-	key := resultKeyFor(path, runModel, v.Hash)
-	if key == "" {
-		return Row{}, false, false
-	}
+func (rt *Router) probeOwner(ctx context.Context, vw *view, v sweep.Variant, owner int, model service.SweepModel) (row Row, hit, done bool) {
+	key := model.Key(v.Hash)
 	ow := vw.byID[owner]
 	if !ow.breaker.allow() {
 		return Row{}, false, false
@@ -1519,14 +1248,9 @@ func (rt *Router) probeOwner(ctx context.Context, vw *view, v sweep.Variant, own
 		return Row{}, false, false
 	}
 	rt.cacheFill(key, body)
-	return Row{SweepRow: service.SweepRow{
-		Index:  v.Index,
-		Name:   v.Spec.Name,
-		Hash:   v.Hash,
-		Params: v.Params,
-		Cache:  "hit",
-		Result: json.RawMessage(body),
-	}, Shard: owner}, true, false
+	row = Row{SweepRow: service.VariantRow(v), Shard: owner}
+	row.Cache, row.Result = "hit", body
+	return row, true, false
 }
 
 // writeBack posts a stolen result to the owner's POST /results under
@@ -1581,26 +1305,12 @@ func (rt *Router) fetchManifest(ctx context.Context, id string) (*service.SweepM
 			continue
 		}
 		m := st.SweepManifest
-		if m.Version != 1 || m.ID != id || m.Total <= 0 {
+		if !m.Sanitize(id) {
 			continue
 		}
-		m.Normalize()
 		return &m, true
 	}
 	return nil, false
-}
-
-// loadOrNewManifest resumes the cluster's stored manifest when its
-// grid size still matches, otherwise starts a fresh one — the router
-// twin of the backend's loadOrNewManifest.
-func (rt *Router) loadOrNewManifest(ctx context.Context, id string, req service.SweepRequest, total int) *service.SweepManifest {
-	if m, ok := rt.fetchManifest(ctx, id); ok && m.Total == total {
-		return m
-	}
-	return &service.SweepManifest{
-		Version: 1, ID: id, Request: req, Total: total,
-		Done: sweep.NewBitset(total), Failed: sweep.NewBitset(total),
-	}
 }
 
 // checkpointManifest writes the manifest through to the first live
@@ -1634,99 +1344,4 @@ func (rt *Router) checkpointManifest(m *service.SweepManifest) {
 		_ = status
 		return
 	}
-}
-
-// handleSweepStatus serves GET /sweep/{id}: the stored manifest with
-// derived progress counts, fetched from the first live shard holding
-// a copy.
-func (rt *Router) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id := r.PathValue("id")
-	m, ok := rt.fetchManifest(r.Context(), id)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	body, err := json.Marshal(m.Status())
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(service.SweepIDHeader, id)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-// handleSweepResume serves GET /sweep/{id}/resume?after=N: the stored
-// sweep's cluster stream restricted to variants with Index > N. Same
-// replay-not-delta semantics as the backend: every variant past the
-// offset streams again regardless of manifest bits (done ones at
-// cache speed), so duplicate offsets are idempotent and a lost
-// checkpoint can never turn into a silent gap.
-func (rt *Router) handleSweepResume(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	after := -1
-	if q := r.URL.Query().Get("after"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "after=%q is not an integer", q)
-			return
-		}
-		after = n
-	}
-	if after < -1 {
-		after = -1
-	}
-	id := r.PathValue("id")
-	m, ok := rt.fetchManifest(r.Context(), id)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	rt.sweepResumes.Inc()
-	schedHdr, err := rt.identHeader(r, sched.Batch.String())
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rt.streamSweep(w, r, m.Request, after, schedHdr)
-}
-
-// handleSweepStoredAnalyze serves POST /sweep/{id}/analyze: the
-// analysis selector in the body applied to the STORED sweep's grid.
-// A completed sweep re-analyzes with zero simulations — every
-// variant is a shard cache hit — and the document is byte-identical
-// to POST /sweep/analyze with the grid inlined, because both run the
-// same collect-and-aggregate path.
-func (rt *Router) handleSweepStoredAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var sel agg.Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sel); err != nil {
-		writeError(w, r, http.StatusBadRequest, "parsing analysis selector: %v", err)
-		return
-	}
-	id := r.PathValue("id")
-	m, ok := rt.fetchManifest(r.Context(), id)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	schedHdr, err := rt.identHeader(r, sched.Batch.String())
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rt.analyzeGrid(w, r, service.AnalyzeRequest{SweepRequest: m.Request, Request: sel}, schedHdr)
 }

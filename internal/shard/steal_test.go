@@ -175,7 +175,7 @@ func TestSweepWorkStealingWritesBackToOwner(t *testing.T) {
 		if row.Cache != "hit" {
 			t.Fatalf("warm row %d disposition %q, want hit", row.Index, row.Cache)
 		}
-		if want := Owner(row.Hash, 2); row.Shard != want {
+		if want := OwnerID(row.Hash, contiguous(2)); row.Shard != want {
 			t.Fatalf("warm row %d served by shard %d, owner %d", row.Index, row.Shard, want)
 		}
 	}

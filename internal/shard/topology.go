@@ -52,13 +52,21 @@ func (t Topology) IDs() []int {
 }
 
 // OwnerID returns the stable shard ID among ids that owns the given
-// spec content hash, by the same rendezvous scoring as Owner. Because
-// scores hash against the stable ID, the result is independent of the
-// order of ids, and removing one member moves only the keys that
-// member owned — everything else keeps its owner and its warm store.
-// For the contiguous ID set 0..n-1 (a boot-time cluster that has
-// never resized), OwnerID agrees with Owner(hash, n). An empty ids
-// returns -1.
+// spec content hash, by rendezvous (highest-random-weight) hashing:
+// score every ID against the hash, pick the maximum. Properties the
+// deployment leans on:
+//
+//   - Deterministic: a pure function of (hash, ids), so the assignment
+//     survives router restarts and is computable by any client — the
+//     smoke harnesses predict which store directory a variant lands
+//     in. A boot-time cluster of n shards places over IDs 0..n-1.
+//   - Order-free: scores hash against the stable ID, so the order of
+//     ids is irrelevant.
+//   - Minimal disruption: adding an ID only moves the keys it wins,
+//     and removing one moves only the keys it owned — everything else
+//     keeps its owner and its warm store.
+//
+// An empty ids returns -1.
 func OwnerID(hash string, ids []int) int {
 	if len(ids) == 0 {
 		return -1
@@ -75,8 +83,12 @@ func OwnerID(hash string, ids []int) int {
 
 // RankIDs returns ids ordered by descending rendezvous score for the
 // given hash: RankIDs(h, ids)[0] == OwnerID(h, ids), and the rest is
-// the deterministic failover order under the current membership —
-// the generalization of Rank to non-contiguous stable ID sets.
+// the deterministic failover order under the current membership.
+// Every router replica computes the same list, so "the next-ranked
+// live shard" is well defined cluster-wide without coordination, and
+// walking it is semantically free: results are content-addressed and
+// bit-reproducible, so any live shard computes the byte-identical
+// answer — the owner merely holds the warm cache.
 func RankIDs(hash string, ids []int) []int {
 	order := make([]int, len(ids))
 	copy(order, ids)

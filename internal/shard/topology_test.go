@@ -19,19 +19,52 @@ func testHashes(n int) []string {
 	return out
 }
 
-func TestOwnerIDAgreesWithOwnerForContiguousIDs(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
+// contiguous returns the boot-time ID set 0..n-1.
+func contiguous(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// TestPlacementGolden pins OwnerID and RankIDs over the boot-time ID
+// sets 0..n-1 for a fixed hash list. The values were captured from the
+// positional placement functions this package used to export, so keys
+// already placed in on-disk stores can never silently change owners.
+func TestPlacementGolden(t *testing.T) {
+	golden := []struct {
+		hash  string
+		n     int
+		owner int
+		ranks []int
+	}{
+		{"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08", 2, 1, []int{1, 0}},
+		{"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08", 3, 2, []int{2, 1, 0}},
+		{"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08", 4, 3, []int{3, 2, 1, 0}},
+		{"fcde2b2edba56bf408601fb721fe9b5c338d10ee429ea04fae5511b68fbf8fb9", 2, 0, []int{0, 1}},
+		{"fcde2b2edba56bf408601fb721fe9b5c338d10ee429ea04fae5511b68fbf8fb9", 3, 0, []int{0, 1, 2}},
+		{"fcde2b2edba56bf408601fb721fe9b5c338d10ee429ea04fae5511b68fbf8fb9", 4, 0, []int{0, 1, 2, 3}},
+		{"77abc86d5c37fe261ce84966b29ddcc90a2ced0dc4ff460df01f852a98327ff8", 2, 0, []int{0, 1}},
+		{"77abc86d5c37fe261ce84966b29ddcc90a2ced0dc4ff460df01f852a98327ff8", 3, 2, []int{2, 0, 1}},
+		{"77abc86d5c37fe261ce84966b29ddcc90a2ced0dc4ff460df01f852a98327ff8", 4, 2, []int{2, 3, 0, 1}},
+		{"bcafb082d44ccafc7ee8a248d15988899ef0d7ee06ebe417bbbb90880ad05a7f", 2, 1, []int{1, 0}},
+		{"bcafb082d44ccafc7ee8a248d15988899ef0d7ee06ebe417bbbb90880ad05a7f", 3, 1, []int{1, 0, 2}},
+		{"bcafb082d44ccafc7ee8a248d15988899ef0d7ee06ebe417bbbb90880ad05a7f", 4, 1, []int{1, 0, 3, 2}},
+		{"0000000000000000000000000000000000000000000000000000000000000000", 2, 1, []int{1, 0}},
+		{"0000000000000000000000000000000000000000000000000000000000000000", 3, 1, []int{1, 0, 2}},
+		{"0000000000000000000000000000000000000000000000000000000000000000", 4, 1, []int{1, 0, 3, 2}},
+		{"a", 2, 0, []int{0, 1}},
+		{"a", 3, 2, []int{2, 0, 1}},
+		{"a", 4, 2, []int{2, 3, 0, 1}},
+	}
+	for _, g := range golden {
+		ids := contiguous(g.n)
+		if got := OwnerID(g.hash, ids); got != g.owner {
+			t.Errorf("OwnerID(%.8s, 0..%d) = %d, want %d", g.hash, g.n-1, got, g.owner)
 		}
-		for _, h := range testHashes(200) {
-			if got, want := OwnerID(h, ids), Owner(h, n); got != want {
-				t.Fatalf("OwnerID(%s, 0..%d) = %d, Owner = %d", h[:8], n-1, got, want)
-			}
-			if got, want := RankIDs(h, ids), Rank(h, n); !reflect.DeepEqual(got, want) {
-				t.Fatalf("RankIDs(%s, 0..%d) = %v, Rank = %v", h[:8], n-1, got, want)
-			}
+		if got := RankIDs(g.hash, ids); !reflect.DeepEqual(got, g.ranks) {
+			t.Errorf("RankIDs(%.8s, 0..%d) = %v, want %v", g.hash, g.n-1, got, g.ranks)
 		}
 	}
 }
