@@ -282,8 +282,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(body) == 0 || !json.Valid(body) {
-		s.writeError(w, r, http.StatusBadRequest, "body is not a JSON result")
+	if !ValidResultBody(body) {
+		s.writeError(w, r, http.StatusBadRequest, "body is not a one-line JSON result")
 		return
 	}
 	s.persist(key, body)

@@ -253,6 +253,7 @@ func New(opt Options) (*Server, error) {
 		Load:           func(_ context.Context, id string) (*SweepManifest, bool) { return s.loadManifest(id) },
 		Checkpoint:     s.checkpointManifest,
 		Row:            func(row SweepRow) SweepRow { return row },
+		Append:         SweepRow.AppendJSON,
 		ErrorRow:       func(row SweepRow) SweepRow { return row },
 		WriteError:     s.writeError,
 		Rows:           s.sweepRows,

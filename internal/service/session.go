@@ -36,6 +36,14 @@ import (
 // chunk, so a 100k-variant sweep costs O(chunk), not O(grid).
 const sweepChunkSize = 2048
 
+// sweepFlushBytes is the byte budget of a sweep stream's row buffer.
+// Rows are written to the client in batches: when the buffer reaches
+// this size, whenever the resolver is about to wait (on a simulation,
+// a disk read or a backend), and at the end of the stream. Warm rows
+// then cost no per-row write, and a row that took a wait still reaches
+// the client as soon as it is done.
+const sweepFlushBytes = 32 << 10
+
 // manifestCheckpointRows is how many emitted rows ride between
 // manifest checkpoints. Small enough that a killed stream loses
 // little progress, large enough that checkpoint writes stay noise
@@ -101,9 +109,11 @@ func (m SweepModel) Request(sp *spec.Spec) RunRequest {
 
 // ChunkResolver resolves one chunk of variants and calls emit — always
 // from the calling goroutine — once per variant, in completion order.
-// It returns false when ctx ended first: the rows emitted are then a
-// subset of the chunk and must not be read as the whole of it.
-type ChunkResolver[R any] func(ctx context.Context, chunk []sweep.Variant, model SweepModel, emit func(R)) bool
+// It calls flush before it blocks waiting for a row, so the rows
+// emitted so far reach the client during the wait. It returns false
+// when ctx ended first: the rows emitted are then a subset of the
+// chunk and must not be read as the whole of it.
+type ChunkResolver[R any] func(ctx context.Context, chunk []sweep.Variant, model SweepModel, emit func(R), flush func()) bool
 
 // SweepSession serves the sweep endpoints of one tier. R is the tier's
 // NDJSON row type: SweepRow on a worker, a row carrying the serving
@@ -130,6 +140,9 @@ type SweepSession[R any] struct {
 	Checkpoint func(m *SweepManifest)
 	// Row reads a tier row's protocol fields.
 	Row func(R) SweepRow
+	// Append appends a tier row's JSON encoding (byte-identical to
+	// json.Marshal) to a buffer.
+	Append func(R, []byte) ([]byte, error)
 	// ErrorRow wraps a grid build-error row, which no resolver served.
 	ErrorRow func(SweepRow) R
 	// WriteError answers a request-level failure with a JSON error.
@@ -338,20 +351,16 @@ func (s *SweepSession[R]) stream(w http.ResponseWriter, r *http.Request, req Swe
 	w.Header().Set("X-Sweep-Variants", strconv.Itoa(p.total))
 	w.Header().Set(SweepIDHeader, p.id)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// Room for a full batch plus the row that fills it.
+	rw := &rowWriter{w: w, buf: make([]byte, 0, 2*sweepFlushBytes)}
+	rw.flusher, _ = w.(http.Flusher)
 	// Push the headers out now: on an all-miss grid no row may flush
 	// for a while, and a client (or the shard router) pacing itself on
 	// X-Sweep-Variants must not block on a header buffered server-side.
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
+	rw.flush()
 	emitted, errored, sinceCheckpoint := 0, 0, 0
 	emit := func(row R) {
-		enc.Encode(row)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		row = s.appendRow(rw, row)
 		s.Rows.Inc()
 		emitted++
 		if sr := s.Row(row); sr.Error != "" {
@@ -370,21 +379,56 @@ func (s *SweepSession[R]) stream(w http.ResponseWriter, r *http.Request, req Swe
 	// Client gone mid-grid: no terminal row — a truncated stream IS
 	// truncated. The final checkpoint still runs: progress made before
 	// the disconnect is exactly what a resume wants to skip.
-	distinct, complete := s.walk(r.Context(), p.grid, after, p.model, resolve, emit)
+	distinct, complete := s.walk(r.Context(), p, after, resolve, emit, rw.flush)
 	if complete {
 		// The terminal summary row runs only when every variant
 		// produced a row — nothing here fakes completion.
-		enc.Encode(SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		summary, _ := json.Marshal(SweepSummary{Done: true, Rows: emitted, Errors: errored})
+		rw.buf = append(append(rw.buf, summary...), '\n')
 		// A completed walk knows the deduplicated variant count even
 		// when it only EMITTED a suffix — the walk itself always
 		// enumerates from index 0 — so a resume that reaches the end
 		// can mark the sweep complete just like the initial stream.
 		m.Variants = distinct
 	}
+	rw.flush()
 	s.Checkpoint(m)
+}
+
+// appendRow appends row as one NDJSON line and returns the row the
+// line holds. A row that cannot be encoded is replaced by an error row
+// that names it, so the stream, its summary and the manifest never
+// count a row the client did not get.
+func (s *SweepSession[R]) appendRow(rw *rowWriter, row R) R {
+	line, err := s.Append(row, rw.buf)
+	if err != nil {
+		sr := s.Row(row)
+		row = s.ErrorRow(SweepRow{Index: sr.Index, Name: sr.Name, Hash: sr.Hash, Error: "encoding row: " + err.Error()})
+		line, _ = s.Append(row, rw.buf) // identity fields only: always encodes
+	}
+	rw.buf = append(line, '\n')
+	if len(rw.buf) >= sweepFlushBytes {
+		rw.flush()
+	}
+	return row
+}
+
+// rowWriter batches a sweep stream's NDJSON lines; flush writes the
+// batch and pushes it to the client.
+type rowWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+	buf     []byte
+}
+
+func (rw *rowWriter) flush() {
+	if len(rw.buf) > 0 {
+		rw.w.Write(rw.buf)
+		rw.buf = rw.buf[:0]
+	}
+	if rw.flusher != nil {
+		rw.flusher.Flush()
+	}
 }
 
 // analyze runs an analysis request — POST /sweep/analyze (grid
@@ -401,9 +445,9 @@ func (s *SweepSession[R]) analyze(w http.ResponseWriter, r *http.Request, req An
 		return
 	}
 	inputs := make([]agg.Input, 0, min(p.total, sweepChunkSize))
-	distinct, complete := s.walk(r.Context(), p.grid, -1, p.model, resolve, func(row R) {
+	distinct, complete := s.walk(r.Context(), p, -1, resolve, func(row R) {
 		inputs = append(inputs, AnalyzeInput(p.model.Compare, s.Row(row)))
-	})
+	}, func() {})
 	if !complete {
 		return // client gone; in-flight jobs still fill the caches
 	}
@@ -432,20 +476,20 @@ func (s *SweepSession[R]) analyze(w http.ResponseWriter, r *http.Request, req An
 // sweepChunkSize variants, so grid memory stays O(chunk). Variants
 // with Index <= after are skipped (their rows streamed before a
 // disconnect); build failures on individual grid points become error
-// rows, not stream deaths. Returns the deduplicated variant count of
-// the FULL walk (valid only when complete) and whether the walk
-// finished before ctx ended.
-func (s *SweepSession[R]) walk(ctx context.Context, grid sweep.Grid, after int, model SweepModel, resolve ChunkResolver[R], emit func(R)) (distinct int, complete bool) {
-	chunk := make([]sweep.Variant, 0, sweepChunkSize)
-	flush := func() bool {
+// rows, not stream deaths. flush is handed to the resolver. Returns
+// the deduplicated variant count of the FULL walk (valid only when
+// complete) and whether the walk finished before ctx ended.
+func (s *SweepSession[R]) walk(ctx context.Context, p sweepPlan, after int, resolve ChunkResolver[R], emit func(R), flush func()) (distinct int, complete bool) {
+	chunk := make([]sweep.Variant, 0, min(p.total, sweepChunkSize))
+	run := func() bool {
 		if len(chunk) == 0 {
 			return true
 		}
-		ok := resolve(ctx, chunk, model, emit)
+		ok := resolve(ctx, chunk, p.model, emit, flush)
 		chunk = chunk[:0]
 		return ok
 	}
-	err := grid.Walk(func(v sweep.Variant, verr error) error {
+	err := p.grid.Walk(func(v sweep.Variant, verr error) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -463,7 +507,7 @@ func (s *SweepSession[R]) walk(ctx context.Context, grid sweep.Grid, after int, 
 		}
 		chunk = append(chunk, v)
 		if len(chunk) >= sweepChunkSize {
-			if !flush() {
+			if !run() {
 				return context.Canceled
 			}
 		}
@@ -472,5 +516,5 @@ func (s *SweepSession[R]) walk(ctx context.Context, grid sweep.Grid, after int, 
 	if err != nil {
 		return distinct, false
 	}
-	return distinct, flush()
+	return distinct, run()
 }

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -61,15 +63,31 @@ type fakeResolver struct {
 	seen        []int
 	cancelAfter int
 	cancel      context.CancelFunc
+	// With waitAfter set, the resolver behaves like one whose next
+	// variant is pending after that many rows: it flushes, then blocks
+	// until wait is closed.
+	waitAfter int
+	wait      chan struct{}
+	// unencodable names the index whose row carries a parameter JSON
+	// cannot encode (-1: none).
+	unencodable int
 }
 
-func (f *fakeResolver) resolve(ctx context.Context, chunk []sweep.Variant, _ SweepModel, emit func(SweepRow)) bool {
+func (f *fakeResolver) resolve(ctx context.Context, chunk []sweep.Variant, _ SweepModel, emit func(SweepRow), flush func()) bool {
 	for _, v := range chunk {
 		if ctx.Err() != nil {
 			return false
 		}
+		if f.waitAfter > 0 && len(f.seen) == f.waitAfter {
+			flush()
+			<-f.wait
+		}
 		f.seen = append(f.seen, v.Index)
-		emit(SweepRow{Index: v.Index, Name: v.Spec.Name, Hash: v.Hash, Params: v.Params, Cache: "hit", Result: json.RawMessage(`{"cycles":1}`)})
+		row := SweepRow{Index: v.Index, Name: v.Spec.Name, Hash: v.Hash, Params: v.Params, Cache: "hit", Result: json.RawMessage(`{"cycles":1}`)}
+		if v.Index == f.unencodable {
+			row.Params = map[string]any{"count": math.NaN()}
+		}
+		emit(row)
 		if len(f.seen) == f.cancelAfter {
 			f.cancel()
 		}
@@ -89,6 +107,7 @@ func fakeSession(res *fakeResolver) (*memManifests, *http.ServeMux) {
 		Load:          store.load,
 		Checkpoint:    store.checkpoint,
 		Row:           same,
+		Append:        SweepRow.AppendJSON,
 		ErrorRow:      same,
 		WriteError: func(w http.ResponseWriter, _ *http.Request, status int, format string, args ...any) {
 			http.Error(w, fmt.Sprintf(format, args...), status)
@@ -164,7 +183,7 @@ func postSweep(t *testing.T, ctx context.Context, req SweepRequest) *http.Reques
 func buildError(row SweepRow) bool { return row.Params["count"] == float64(20000) }
 
 func TestSweepSessionTurnsBuildErrorsIntoRows(t *testing.T) {
-	res := &fakeResolver{}
+	res := &fakeResolver{unencodable: -1}
 	store, mux := fakeSession(res)
 	_, rows, summary := serveSweep(t, mux, postSweep(t, context.Background(), countGrid(10, 20000, 11)))
 
@@ -197,7 +216,7 @@ func TestSweepSessionTurnsBuildErrorsIntoRows(t *testing.T) {
 }
 
 func TestSweepSessionResumeSkipsAtOrBelowAfter(t *testing.T) {
-	res := &fakeResolver{}
+	res := &fakeResolver{unencodable: -1}
 	_, mux := fakeSession(res)
 	rec, full, _ := serveSweep(t, mux, postSweep(t, context.Background(), countGrid(10, 20000, 11)))
 	id := rec.Header().Get(SweepIDHeader)
@@ -236,7 +255,7 @@ func counts(n int) []int {
 }
 
 func TestSweepSessionCheckpointsEveryManifestCheckpointRows(t *testing.T) {
-	res := &fakeResolver{}
+	res := &fakeResolver{unencodable: -1}
 	store, mux := fakeSession(res)
 	_, rows, summary := serveSweep(t, mux, postSweep(t, context.Background(), countGrid(counts(300)...)))
 	if len(rows) != 600 || summary == nil {
@@ -260,7 +279,7 @@ func TestSweepSessionCheckpointsEveryManifestCheckpointRows(t *testing.T) {
 func TestSweepSessionCheckpointsAfterDisconnect(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res := &fakeResolver{cancelAfter: 300, cancel: cancel}
+	res := &fakeResolver{cancelAfter: 300, cancel: cancel, unencodable: -1}
 	store, mux := fakeSession(res)
 	_, rows, summary := serveSweep(t, mux, postSweep(t, ctx, countGrid(counts(300)...)))
 	if summary != nil {
@@ -280,5 +299,62 @@ func TestSweepSessionCheckpointsAfterDisconnect(t *testing.T) {
 		if !final.Done.Get(row.Index) {
 			t.Fatalf("streamed row %d missing from the final checkpoint", row.Index)
 		}
+	}
+}
+
+// TestSweepSessionFlushesBeforeResolverBlocks: rows are written in
+// batches, but the batch goes out whenever the resolver is about to
+// wait, so a client sees every row emitted before a pending variant
+// while that variant is still pending.
+func TestSweepSessionFlushesBeforeResolverBlocks(t *testing.T) {
+	res := &fakeResolver{waitAfter: 3, wait: make(chan struct{}), unencodable: -1}
+	_, mux := fakeSession(res)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	defer close(res.wait) // before ts.Close, which waits for the handler
+	body, _ := json.Marshal(countGrid(10, 11, 12))
+	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := make(chan string, 16) // room for the whole stream
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	for i := 0; i < res.waitAfter; i++ {
+		select {
+		case line := <-lines:
+			if !strings.Contains(line, `"cache":"hit"`) {
+				t.Fatalf("row %d: %s", i, line)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of the %d rows emitted before the resolver blocked reached the client", i, res.waitAfter)
+		}
+	}
+}
+
+// TestSweepSessionTurnsUnencodableRowsIntoErrorRows: a row that cannot
+// be encoded must not vanish while the summary and manifest count it
+// as done; it streams as an error row instead.
+func TestSweepSessionTurnsUnencodableRowsIntoErrorRows(t *testing.T) {
+	res := &fakeResolver{unencodable: 2}
+	store, mux := fakeSession(res)
+	_, rows, summary := serveSweep(t, mux, postSweep(t, context.Background(), countGrid(10, 11)))
+	if len(rows) != 4 || summary == nil || summary.Rows != 4 || summary.Errors != 1 {
+		t.Fatalf("%d rows, summary %+v; want 4 rows with 1 error", len(rows), summary)
+	}
+	bad := rows[2]
+	if bad.Index != 2 || bad.Result != nil || bad.Params != nil || !strings.Contains(bad.Error, "encoding row") {
+		t.Fatalf("unencodable row streamed as %+v", bad)
+	}
+	final := store.checkpoints[len(store.checkpoints)-1]
+	if !final.Failed.Get(2) || final.Done.Get(2) || final.Done.Count() != 3 {
+		t.Fatalf("manifest done %d, row 2 done %v failed %v; want it failed, the other 3 done",
+			final.Done.Count(), final.Done.Get(2), final.Failed.Get(2))
 	}
 }

@@ -21,11 +21,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -79,6 +84,123 @@ type SweepRow struct {
 	Cache  string          `json:"cache,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
+}
+
+// AppendJSON appends the row's JSON encoding to dst, byte-identical
+// to json.Marshal's. The result body is spliced in verbatim, so it
+// must be compact JSON on one line, as every body this service stores
+// is (ValidResultBody). The only error is a parameter value JSON
+// cannot encode.
+func (row SweepRow) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := row.AppendFields(dst)
+	return append(dst, '}'), err
+}
+
+// AppendFields is AppendJSON without the closing brace, for a row type
+// that embeds SweepRow and appends its own fields after these.
+func (row SweepRow) AppendFields(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(row.Index), 10)
+	dst = append(dst, `,"name":`...)
+	dst = AppendJSONString(dst, row.Name)
+	dst = append(dst, `,"hash":`...)
+	dst = AppendJSONString(dst, row.Hash)
+	dst = append(dst, `,"params":`...)
+	dst, err := appendParams(dst, row.Params)
+	if row.Cache != "" {
+		dst = append(dst, `,"cache":`...)
+		dst = AppendJSONString(dst, row.Cache)
+	}
+	if len(row.Result) > 0 {
+		dst = append(dst, `,"result":`...)
+		dst = append(dst, row.Result...)
+	}
+	if row.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = AppendJSONString(dst, row.Error)
+	}
+	return dst, err
+}
+
+// appendParams appends a row's parameter map as encoding/json renders
+// it: keys sorted, null for a nil map.
+func appendParams(dst []byte, params map[string]any) ([]byte, error) {
+	if params == nil {
+		return append(dst, "null"...), nil
+	}
+	var room [8]string
+	keys := room[:0]
+	for k := range params {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendJSONString(dst, k)
+		dst = append(dst, ':')
+		switch v := params[k].(type) {
+		case bool:
+			dst = strconv.AppendBool(dst, v)
+		case string:
+			dst = AppendJSONString(dst, v)
+		case float64: // every wire number
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return dst, fmt.Errorf("param %q: unsupported value %v", k, v)
+			}
+			dst = appendFloat(dst, v)
+		default:
+			b, err := json.Marshal(v)
+			if err != nil {
+				return dst, fmt.Errorf("param %q: %w", k, err)
+			}
+			dst = append(dst, b...)
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendFloat appends a finite float64 the way encoding/json does:
+// shortest round-trip digits, exponent form only below 1e-6 or from
+// 1e21 up, with a one-digit negative exponent unpadded (1e-07 → 1e-7).
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// AppendJSONString appends s as a JSON string, byte-identical to
+// encoding/json, which also escapes <, > and & for HTML safety.
+// Printable ASCII without those characters is copied as is; anything
+// else goes through json.Marshal.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// ValidResultBody reports whether body can be served as a result:
+// valid JSON on one line, so sweep rows can splice it in verbatim
+// without breaking the NDJSON framing. Bodies this service computes
+// always are; bodies from elsewhere (a backend's answer, a stolen
+// result's write-back) are checked once, where they arrive.
+func ValidResultBody(body []byte) bool {
+	return json.Valid(body) && bytes.IndexByte(body, '\n') < 0
 }
 
 // SweepSummary is the terminal NDJSON line of a completed /sweep
@@ -179,8 +301,8 @@ func (s *Server) bindSweep(r *http.Request) (ChunkResolver[SweepRow], error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, chunk []sweep.Variant, model SweepModel, emit func(SweepRow)) bool {
-		return s.collectRows(ctx, chunk, model, id, emit)
+	return func(ctx context.Context, chunk []sweep.Variant, model SweepModel, emit func(SweepRow), flush func()) bool {
+		return s.collectRows(ctx, chunk, model, id, emit, flush)
 	}, nil
 }
 
@@ -188,9 +310,10 @@ func (s *Server) bindSweep(r *http.Request) (ChunkResolver[SweepRow], error) {
 // of variants through the shared cache/singleflight/scheduler path and
 // invokes emit — always from this goroutine — once per variant in
 // completion order, so /sweep, resume and both analyze endpoints
-// cannot diverge on caching, backpressure or failure semantics.
-// Returns false when ctx ended first.
-func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model SweepModel, id ident, emit func(SweepRow)) bool {
+// cannot diverge on caching, backpressure or failure semantics. It
+// calls flush whenever it is about to wait for a row. Returns false
+// when ctx ended first.
+func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model SweepModel, id ident, emit func(SweepRow), flush func()) bool {
 	// First pass: serve every memory-cached variant immediately, so a
 	// warm sweep streams at memory speed no matter how busy the pool
 	// is, and collect the rest for the workers. Disk-held variants
@@ -241,12 +364,18 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 		}
 	}()
 	for n := 0; n < len(pending); n++ {
+		var row SweepRow
 		select {
-		case row := <-rows:
-			emit(row)
-		case <-ctx.Done():
-			return false
+		case row = <-rows:
+		default:
+			flush() // no row is ready: the rest wait on the disk or the scheduler
+			select {
+			case row = <-rows:
+			case <-ctx.Done():
+				return false
+			}
 		}
+		emit(row)
 	}
 	return true
 }

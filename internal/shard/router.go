@@ -307,6 +307,7 @@ func New(opt Options) (*Router, error) {
 		Load:           rt.fetchManifest,
 		Checkpoint:     rt.checkpointManifest,
 		Row:            func(row Row) service.SweepRow { return row.SweepRow },
+		Append:         Row.AppendJSON,
 		ErrorRow:       func(row service.SweepRow) Row { return Row{SweepRow: row, Shard: -1} },
 		WriteError:     writeError,
 		Rows:           rt.sweepRows,
@@ -698,7 +699,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 			log.Printf("failover endpoint=%s owner=%d served=%d rid=%s reason=%q",
 				path, owner, id, obs.RequestIDFrom(r.Context()), lastErr)
 		}
-		if status == http.StatusOK {
+		if status == http.StatusOK && service.ValidResultBody(respBody) {
 			rt.cacheFill(key, respBody)
 		}
 		w.WriteHeader(status)
@@ -940,6 +941,23 @@ type Row struct {
 	Stolen   string `json:"stolen,omitempty"`
 }
 
+// AppendJSON appends the row's JSON encoding to dst, byte-identical
+// to json.Marshal's (see service.SweepRow.AppendJSON).
+func (row Row) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := row.SweepRow.AppendFields(dst)
+	dst = append(dst, `,"shard":`...)
+	dst = strconv.AppendInt(dst, int64(row.Shard), 10)
+	if row.Failover != "" {
+		dst = append(dst, `,"failover":`...)
+		dst = service.AppendJSONString(dst, row.Failover)
+	}
+	if row.Stolen != "" {
+		dst = append(dst, `,"stolen":`...)
+		dst = service.AppendJSONString(dst, row.Stolen)
+	}
+	return append(dst, '}'), err
+}
+
 // bindSweep is the router's SweepSession.Bind: the caller's
 // scheduling identity (tenant + class, batch by default) as the header
 // block every per-variant backend call carries, bound to collectChunk
@@ -951,15 +969,15 @@ func (rt *Router) bindSweep(r *http.Request) (service.ChunkResolver[Row], error)
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, chunk []sweep.Variant, model service.SweepModel, emit func(Row)) bool {
-		return rt.collectChunk(ctx, rt.view(), chunk, model, schedHdr, emit)
+	return func(ctx context.Context, chunk []sweep.Variant, model service.SweepModel, emit func(Row), flush func()) bool {
+		return rt.collectChunk(ctx, rt.view(), chunk, model, schedHdr, emit, flush)
 	}, nil
 }
 
 // collectChunk resolves one chunk of variants across the cluster and
 // invokes emit — always from this goroutine — once per variant in
-// completion order. The whole chunk routes against one membership
-// view.
+// completion order, calling flush whenever no row is ready. The whole
+// chunk routes against one membership view.
 //
 // The fan-out is a work-stealing scheduler over per-owner queues:
 // EVERY shard gets workers — including shards that own nothing in
@@ -970,7 +988,7 @@ func (rt *Router) bindSweep(r *http.Request) (service.ChunkResolver[Row], error)
 // about to clear anyway is left alone (ownership still decides cache
 // placement), while a skewed chunk stops being wall-clock-bounded by
 // its hottest shard. The two ends never contend for the same variant.
-func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, model service.SweepModel, schedHdr http.Header, emit func(Row)) bool {
+func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, model service.SweepModel, schedHdr http.Header, emit func(Row), flush func()) bool {
 	pos := make(map[int]int, len(vw.shards))
 	for i, sh := range vw.shards {
 		pos[sh.id] = i
@@ -1045,10 +1063,20 @@ func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.V
 		close(rows)
 	}()
 
-	for row := range rows {
+	for {
+		var row Row
+		var open bool
+		select {
+		case row, open = <-rows:
+		default:
+			flush() // no row is ready: the workers wait on the cache or the backends
+			row, open = <-rows
+		}
+		if !open {
+			return ctx.Err() == nil
+		}
 		emit(row)
 	}
-	return ctx.Err() == nil
 }
 
 // resolveVariant runs one variant against the cluster: the router
@@ -1106,6 +1134,10 @@ func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant,
 				if id != owner {
 					row.Failover = fmt.Sprintf("%d->%d", owner, id)
 					vw.byID[owner].failovers.Inc()
+				}
+				if !service.ValidResultBody(body) {
+					row.Error = badBody(id)
+					return row, true
 				}
 				row.Cache = hdr.Get("X-Cache")
 				row.Result = json.RawMessage(body)
@@ -1192,6 +1224,10 @@ func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, 
 		switch {
 		case status == http.StatusOK:
 			sh.breaker.success()
+			if !service.ValidResultBody(body) {
+				row.Error = badBody(thief)
+				return row, true
+			}
 			row.Cache = hdr.Get("X-Cache")
 			row.Result = json.RawMessage(body)
 			row.Stolen = fmt.Sprintf("%d->%d", owner, thief)
@@ -1220,6 +1256,12 @@ func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, 
 	}
 }
 
+// badBody is the error row text for a 200 answer whose body cannot be
+// served as a result (service.ValidResultBody).
+func badBody(shard int) string {
+	return fmt.Sprintf("shard %d answered 200 with a body that is not a one-line JSON result", shard)
+}
+
 // probeOwner asks a variant's owner whether it already holds the
 // stored result (GET /results?key=...) before a thief re-simulates
 // it. hit=true carries an owner-served cache-hit row; done=true means
@@ -1244,7 +1286,7 @@ func (rt *Router) probeOwner(ctx context.Context, vw *view, v sweep.Variant, own
 		return Row{}, false, false
 	}
 	ow.breaker.success()
-	if status != http.StatusOK {
+	if status != http.StatusOK || !service.ValidResultBody(body) {
 		return Row{}, false, false
 	}
 	rt.cacheFill(key, body)

@@ -10,6 +10,7 @@ package spec
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/config"
 )
@@ -239,12 +240,24 @@ func Scenarios() []Spec {
 	return append(ws, multi, single)
 }
 
-// ByName returns the library scenario with the given name.
-func ByName(name string) (Spec, error) {
+// library indexes Scenarios by name. It is built once: sweep grids
+// look a library mix up for every variant they expand.
+var library = sync.OnceValue(func() map[string]Spec {
+	byName := map[string]Spec{}
 	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, nil
+		if _, dup := byName[s.Name]; !dup {
+			byName[s.Name] = s
 		}
 	}
-	return Spec{}, fmt.Errorf("spec: unknown scenario %q", name)
+	return byName
+})
+
+// ByName returns the library scenario with the given name, as a
+// Clone the caller may mutate freely.
+func ByName(name string) (Spec, error) {
+	s, ok := library()[name]
+	if !ok {
+		return Spec{}, fmt.Errorf("spec: unknown scenario %q", name)
+	}
+	return s.Clone(), nil
 }

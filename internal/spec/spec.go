@@ -26,7 +26,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
+	"strconv"
 
 	"repro/internal/check"
 	"repro/internal/config"
@@ -230,6 +232,37 @@ func (s Spec) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// Hashes returns the content hash (Hash) and the workload hash: the
+// content hash of the spec with Name cleared, which two specs share
+// when they describe the same workload under different names. It
+// encodes the spec once, unnamed, and derives the named canonical
+// bytes by writing the JSON-escaped name into the empty "name" slot,
+// the one place the two encodings differ.
+func (s Spec) Hashes() (hash, workload string, err error) {
+	name := s.Name
+	s.Name = ""
+	unnamed, err := s.Canonical()
+	if err != nil {
+		return "", "", err
+	}
+	head := strconv.AppendInt([]byte(`{"version":`), int64(s.SpecVersion), 10)
+	head = append(head, `,"name":""`...)
+	if !bytes.HasPrefix(unnamed, head) {
+		return "", "", fmt.Errorf("spec: canonical encoding does not start with %s", head)
+	}
+	quoted, err := json.Marshal(name)
+	if err != nil {
+		return "", "", fmt.Errorf("spec: %w", err)
+	}
+	slot := len(head) - len(`""`)
+	h := sha256.New()
+	h.Write(unnamed[:slot])
+	h.Write(quoted)
+	h.Write(unnamed[slot+len(`""`):])
+	sum := sha256.Sum256(unnamed)
+	return hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(sum[:]), nil
+}
+
 // MarshalIndent renders the spec as indented JSON for files and docs.
 // The canonical (hashed) form is the compact rendering; the indented
 // form decodes back to the same canonical bytes.
@@ -245,6 +278,17 @@ func (s Spec) MarshalIndent() ([]byte, error) {
 // parameters, every generator descriptor, and cross-master address
 // footprints — and reports all problems in one descriptive error.
 func (s Spec) Validate() error {
+	return s.ValidateWith(s.FootprintProblems)
+}
+
+// ValidateWith is Validate with the cross-master footprint check
+// supplied by the caller: footprints must return what
+// s.FootprintProblems would. It runs only when every other check
+// passed, exactly where Validate runs its own, so the error is the
+// same. Footprints depend on nothing but Masters and Params.BusBytes,
+// which lets a grid engine compute the verdict once per traffic shape
+// instead of once per variant.
+func (s Spec) ValidateWith(footprints func() []string) error {
 	var errs check.Errors
 	if s.SpecVersion != Version {
 		errs.Addf("spec: unsupported version %d (want %d)", s.SpecVersion, Version)
@@ -274,7 +318,9 @@ func (s Spec) Validate() error {
 	// sound; building generators from malformed descriptors could
 	// divide by zero.
 	if errs.Empty() {
-		s.validateFootprints(&errs)
+		for _, p := range footprints() {
+			errs.Addf("%s", p)
+		}
 	}
 	return errs.Err()
 }
@@ -353,52 +399,84 @@ func (g GenSpec) validate(errs *check.Errors, m int) {
 	}
 }
 
+// Descriptor fields as bits of a field mask, in the sorted order of
+// their JSON names (fieldNames), so a mask walk lists them sorted.
+const (
+	fBase = 1 << iota
+	fBeatBytes
+	fBeats
+	fBurstTxns
+	fCount
+	fGap
+	fIdleGap
+	fMaxBeats
+	fMeanGap
+	fPeriod
+	fReqs
+	fSeed
+	fStrideBytes
+	fWindowBytes
+	fWrapBytes
+	fWrite
+	fWriteEvery
+	fWriteFrac
+)
+
+// fieldNames are the JSON names of the field-mask bits, bit i at i.
+var fieldNames = [...]string{
+	"base", "beat_bytes", "beats", "burst_txns", "count", "gap",
+	"idle_gap", "max_beats", "mean_gap", "period", "reqs", "seed",
+	"stride_bytes", "window_bytes", "wrap_bytes", "write",
+	"write_every", "write_frac",
+}
+
+// kindFields is the field mask each generator kind consumes.
+var kindFields = map[string]uint32{
+	KindSequential: fBase | fBeats | fCount | fGap | fWriteEvery | fWrapBytes | fStrideBytes | fBeatBytes,
+	KindRandom:     fBase | fCount | fSeed | fWindowBytes | fMaxBeats | fWriteFrac | fMeanGap,
+	KindBursty:     fBase | fBeats | fCount | fBurstTxns | fIdleGap | fWrite,
+	KindStream:     fBase | fBeats | fCount | fPeriod | fWrite | fWrapBytes,
+	KindScript:     fReqs,
+}
+
 // strayFields returns the descriptor fields that are set but not
 // consumed by the kind, sorted. A stray field would change the
 // spec's canonical bytes — and therefore its content hash — without
 // changing the workload, silently aliasing identical results under
 // different cache keys, so validation rejects it.
 func (g GenSpec) strayFields() []string {
-	allowed := map[string]bool{}
-	switch g.Kind {
-	case KindSequential:
-		for _, f := range []string{"base", "beats", "count", "gap", "write_every", "wrap_bytes", "stride_bytes", "beat_bytes"} {
-			allowed[f] = true
-		}
-	case KindRandom:
-		for _, f := range []string{"base", "count", "seed", "window_bytes", "max_beats", "write_frac", "mean_gap"} {
-			allowed[f] = true
-		}
-	case KindBursty:
-		for _, f := range []string{"base", "beats", "count", "burst_txns", "idle_gap", "write"} {
-			allowed[f] = true
-		}
-	case KindStream:
-		for _, f := range []string{"base", "beats", "count", "period", "write", "wrap_bytes"} {
-			allowed[f] = true
-		}
-	case KindScript:
-		allowed["reqs"] = true
-	default:
+	allowed, ok := kindFields[g.Kind]
+	if !ok {
 		return nil // the kind itself is already rejected
 	}
-	set := map[string]bool{
-		"base": g.Base != 0, "beats": g.Beats != 0, "count": g.Count != 0,
-		"gap": g.Gap != 0, "write_every": g.WriteEvery != 0,
-		"wrap_bytes": g.WrapBytes != 0, "stride_bytes": g.StrideBytes != 0,
-		"beat_bytes": g.BeatBytes != 0, "seed": g.Seed != 0,
-		"window_bytes": g.WindowBytes != 0, "max_beats": g.MaxBeats != 0,
-		"write_frac": g.WriteFrac != 0, "mean_gap": g.MeanGap != 0,
-		"burst_txns": g.BurstTxns != 0, "idle_gap": g.IdleGap != 0,
-		"period": g.Period != 0, "write": g.Write, "reqs": len(g.Reqs) != 0,
-	}
-	var stray []string
-	for name, isSet := range set {
-		if isSet && !allowed[name] {
-			stray = append(stray, name)
+	var set uint32
+	flag := func(bit uint32, isSet bool) {
+		if isSet {
+			set |= bit
 		}
 	}
-	sort.Strings(stray)
+	flag(fBase, g.Base != 0)
+	flag(fBeatBytes, g.BeatBytes != 0)
+	flag(fBeats, g.Beats != 0)
+	flag(fBurstTxns, g.BurstTxns != 0)
+	flag(fCount, g.Count != 0)
+	flag(fGap, g.Gap != 0)
+	flag(fIdleGap, g.IdleGap != 0)
+	flag(fMaxBeats, g.MaxBeats != 0)
+	flag(fMeanGap, g.MeanGap != 0)
+	flag(fPeriod, g.Period != 0)
+	flag(fReqs, len(g.Reqs) != 0)
+	flag(fSeed, g.Seed != 0)
+	flag(fStrideBytes, g.StrideBytes != 0)
+	flag(fWindowBytes, g.WindowBytes != 0)
+	flag(fWrapBytes, g.WrapBytes != 0)
+	flag(fWrite, g.Write)
+	flag(fWriteEvery, g.WriteEvery != 0)
+	flag(fWriteFrac, g.WriteFrac != 0)
+	var stray []string
+	for rest := set &^ allowed; rest != 0; rest &= rest - 1 {
+		stray = append(stray, fieldNames[bits.TrailingZeros32(rest)])
+	}
 	return stray
 }
 
@@ -480,15 +558,17 @@ type interval struct {
 	master int
 }
 
-// validateFootprints rejects masters whose generators touch
-// overlapping address ranges. Two ports writing the same bytes make
-// the memory image depend on arbitration order, which breaks the
-// cross-model reproducibility contract every spec promises; the check
-// enumerates the deterministic address sequences (windows for random
-// generators), so bank-interleaved layouts whose spans interleave
-// without sharing a byte pass. Every overlapping master pair is
-// reported, not just the first.
-func (s Spec) validateFootprints(errs *check.Errors) {
+// FootprintProblems reports masters whose generators touch
+// overlapping address ranges, one message per pair, or nil. Two ports
+// writing the same bytes make the memory image depend on arbitration
+// order, which breaks the cross-model reproducibility contract every
+// spec promises; the check enumerates the deterministic address
+// sequences (windows for random generators), so bank-interleaved
+// layouts whose spans interleave without sharing a byte pass. Every
+// overlapping master pair is reported, not just the first. The
+// descriptors must be individually valid (Validate runs this check
+// only then). The verdict reads only Masters and Params.BusBytes.
+func (s Spec) FootprintProblems() []string {
 	bus := s.Params.BusBytes
 	if bus <= 0 {
 		bus = 4
@@ -498,7 +578,7 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 		ivs = append(ivs, g.footprint(m, bus)...)
 	}
 	if len(ivs) == 0 {
-		return
+		return nil
 	}
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].lo != ivs[j].lo {
@@ -509,6 +589,7 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 	// Sweep with the full active set (at most one live interval per
 	// master, since each master's own intervals are merged and
 	// disjoint) so pairs nested inside a wider interval still report.
+	var problems []string
 	seen := map[[2]int]bool{}
 	var active []interval
 	for _, cur := range ivs {
@@ -529,12 +610,13 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 			}
 			if !seen[pair] {
 				seen[pair] = true
-				errs.Addf("spec: masters %d and %d touch overlapping address ranges near %#x",
-					pair[0], pair[1], cur.lo)
+				problems = append(problems, fmt.Sprintf("spec: masters %d and %d touch overlapping address ranges near %#x",
+					pair[0], pair[1], cur.lo))
 			}
 		}
 		active = append(active, cur)
 	}
+	return problems
 }
 
 // footprint returns the merged address intervals the descriptor's

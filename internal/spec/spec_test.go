@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -371,6 +373,67 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("no/such"); err == nil {
 		t.Fatal("unknown scenario found")
+	}
+}
+
+// TestByNameReturnsIndependentClones: the library index is built once
+// and shared, so every lookup must hand out a copy its caller can
+// mutate without touching the index or other callers' copies.
+func TestByNameReturnsIndependentClones(t *testing.T) {
+	for _, want := range Scenarios() {
+		a, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Masters[0].Count = 999
+		a.Masters[0].Reqs = append(a.Masters[0].Reqs, ReqSpec{Beats: 1})
+		a.Params.Masters[0].Name = "mutated"
+		a.Params.WriteBufferDepth = 99
+		b, _ := ByName(want.Name)
+		wantBytes, _ := want.Canonical()
+		gotBytes, _ := b.Canonical()
+		if !bytes.Equal(wantBytes, gotBytes) {
+			t.Fatalf("%s: a mutated lookup leaked into the next one", want.Name)
+		}
+	}
+}
+
+// TestHashesMatchHash: Hashes derives the named canonical bytes by
+// writing the escaped name into the unnamed encoding; both of its
+// hashes must equal Hash of the named and the unnamed spec, on every
+// library scenario and on names that JSON escapes.
+func TestHashesMatchHash(t *testing.T) {
+	specs := Scenarios()
+	for _, name := range []string{"", "grid/<a&b>/é", "日本/\u2028", "q\"b\\s\t\x01", "bad\xffutf8", "sep\u2028\u2029"} {
+		s := specOf()
+		s.Name = name
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		hash, workload, err := s.Hashes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantHash, _ := s.Hash()
+		unnamed := s
+		unnamed.Name = ""
+		wantWorkload, _ := unnamed.Hash()
+		if hash != wantHash || workload != wantWorkload {
+			t.Fatalf("%q: Hashes (%s, %s), Hash (%s, %s)", s.Name, hash, workload, wantHash, wantWorkload)
+		}
+	}
+}
+
+// TestStrayFieldNamesSorted: strayFields lists fields in mask-bit
+// order, which is sorted only while fieldNames is.
+func TestStrayFieldNamesSorted(t *testing.T) {
+	if !sort.StringsAreSorted(fieldNames[:]) {
+		t.Fatalf("fieldNames out of order: %v", fieldNames)
+	}
+	g := GenSpec{Kind: KindScript, Reqs: []ReqSpec{{Beats: 1}}, WriteFrac: 0.5, Base: 4, Write: true, BeatBytes: 4, Beats: 2, WriteEvery: 1}
+	want := []string{"base", "beat_bytes", "beats", "write", "write_every", "write_frac"}
+	if got := g.strayFields(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stray fields %v, want %v", got, want)
 	}
 }
 

@@ -128,6 +128,12 @@ func (g Grid) Total() (int, error) {
 	return total, nil
 }
 
+// trafficParams are the axis parameters that can change a variant's
+// traffic: its Masters, Params.BusBytes or Params.AddrMap. Every other
+// parameter leaves those untouched, so variants that agree on their
+// traffic axes share one footprint verdict (see Walk).
+var trafficParams = map[string]bool{ParamMix: true, ParamCount: true, ParamBusBytes: true}
+
 // Walk enumerates the grid lazily in row-major order (first axis
 // slowest), holding O(1) variants in memory, and calls fn once per
 // grid point that survives deduplication. A point whose spec fails to
@@ -143,6 +149,10 @@ func (g Grid) Total() (int, error) {
 // always starts at index 0 even when the caller only wants a suffix —
 // dedup survivors are defined by full-grid history, and skipping a
 // prefix would silently renumber them.
+//
+// Every variant is validated in full, but the cross-master footprint
+// check, the costly part, runs once per traffic shape: its verdict is
+// memoized by the value indices of the grid's traffic axes.
 func (g Grid) Walk(fn func(v Variant, err error) error) error {
 	total, err := g.Total()
 	if err != nil {
@@ -152,51 +162,57 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 	if prefix == "" {
 		prefix = g.Base.Name
 	}
+	labels := make([][]string, len(g.Axes))
+	slugs := make([][]string, len(g.Axes))
+	var traffic []int
+	for a, ax := range g.Axes {
+		labels[a], slugs[a] = axisNames(ax)
+		if trafficParams[ax.Param] {
+			traffic = append(traffic, a)
+		}
+	}
 
+	footprints := make(map[int][]string)
 	seen := make(map[string]bool)
 	idx := make([]int, len(g.Axes))
+	path := make([]string, len(g.Axes)+1)
+	path[0] = prefix
 	for n := 0; n < total; n++ {
 		s := g.Base.Clone()
-		labels := make([]string, len(g.Axes))
-		slugs := make([]string, 0, len(g.Axes)+1)
-		slugs = append(slugs, prefix)
-		params := make(map[string]any, len(g.Axes))
+		variant := Variant{Index: n, Labels: make([]string, len(g.Axes)), Params: make(map[string]any, len(g.Axes))}
 		var buildErr error
 		for a, ax := range g.Axes {
 			v := ax.Values[idx[a]]
-			label, slug := v.Label, v.Slug
-			if label == "" {
-				label = fmt.Sprintf("%v", v.V)
-			}
-			if slug == "" {
-				slug = strings.ReplaceAll(label, "/", "-")
-			}
-			labels[a] = label
-			slugs = append(slugs, slug)
-			params[ax.Param] = v.V
+			variant.Labels[a] = labels[a][idx[a]]
+			path[a+1] = slugs[a][idx[a]]
+			variant.Params[ax.Param] = v.V
 			if buildErr == nil {
 				if err := Apply(&s, ax.Param, v.V); err != nil {
 					buildErr = fmt.Errorf("sweep: axis %q value %v: %w", ax.Param, v.V, err)
 				}
 			}
 		}
-		s.Name = strings.Join(slugs, "/")
-		variant := Variant{Index: n, Labels: labels, Params: params}
+		s.Name = strings.Join(path, "/")
 		if buildErr == nil {
-			if err := s.Validate(); err != nil {
+			shape := 0
+			for _, a := range traffic {
+				shape = shape*len(g.Axes[a].Values) + idx[a]
+			}
+			err := s.ValidateWith(func() []string {
+				problems, ok := footprints[shape]
+				if !ok {
+					problems = s.FootprintProblems()
+					footprints[shape] = problems
+				}
+				return problems
+			})
+			if err != nil {
 				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
 			}
 		}
 		var hash, workload string
 		if buildErr == nil {
-			if hash, err = s.Hash(); err != nil {
-				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
-			}
-		}
-		if buildErr == nil {
-			unnamed := s
-			unnamed.Name = ""
-			if workload, err = unnamed.Hash(); err != nil {
+			if hash, workload, err = s.Hashes(); err != nil {
 				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
 			}
 		}
@@ -222,6 +238,23 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 		}
 	}
 	return nil
+}
+
+// axisNames returns the label and the spec-name slug of each of the
+// axis's values.
+func axisNames(ax Axis) (labels, slugs []string) {
+	labels = make([]string, len(ax.Values))
+	slugs = make([]string, len(ax.Values))
+	for i, v := range ax.Values {
+		labels[i], slugs[i] = v.Label, v.Slug
+		if labels[i] == "" {
+			labels[i] = fmt.Sprintf("%v", v.V)
+		}
+		if slugs[i] == "" {
+			slugs[i] = strings.ReplaceAll(labels[i], "/", "-")
+		}
+	}
+	return labels, slugs
 }
 
 // Expand produces the deduplicated variant list: the Cartesian
@@ -349,7 +382,7 @@ func Apply(s *spec.Spec, param string, v any) error {
 			return fmt.Errorf("mix %q has %d masters, platform has %d",
 				name, len(lib.Masters), len(s.Params.Masters))
 		}
-		s.Masters = lib.Clone().Masters
+		s.Masters = lib.Masters
 	case ParamMaxCycles:
 		n, err := asInt(v)
 		if err != nil {
