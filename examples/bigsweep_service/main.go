@@ -36,21 +36,17 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"syscall"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/config"
+	"repro/internal/drill"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
@@ -63,10 +59,8 @@ const (
 	hangUpAfter   = 3_000
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bigsweep_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill.
+var d *drill.Drill
 
 // bigBase is deliberately tiny — two short generators on the 2-master
 // platform — so ten thousand RTL simulations stay a smoke test, not a
@@ -83,40 +77,26 @@ func bigBase() spec.Spec {
 	}
 }
 
-// gridAxes is the 25 x 20 x 20 = 10,000-variant product in both the
-// local (expansion) and wire forms; every value produces a distinct
-// workload, so dedup collapses nothing and the variant count IS the
-// Cartesian product.
-func gridAxes() ([]sweep.Axis, []service.SweepAxis) {
-	ints := func(n, from int) ([]sweep.Value, []any) {
-		lv := make([]sweep.Value, n)
-		wv := make([]any, n)
-		for i := 0; i < n; i++ {
-			lv[i] = sweep.Value{V: from + i}
-			wv[i] = from + i
-		}
-		return lv, wv
-	}
-	u, uw := ints(25, 0)
-	c, cw := ints(20, 1)
-	w, ww := ints(20, 0)
-	local := []sweep.Axis{
-		{Param: sweep.ParamUrgencyThreshold, Values: u},
-		{Param: sweep.ParamCount, Values: c},
-		{Param: sweep.ParamWriteBufferDepth, Values: w},
-	}
-	wire := []service.SweepAxis{
-		{Param: "urgency_threshold", Values: uw},
-		{Param: "count", Values: cw},
-		{Param: "write_buffer_depth", Values: ww},
-	}
-	return local, wire
-}
-
+// sweepRequest is the 25 x 20 x 20 = 10,000-variant grid; every
+// value produces a distinct workload, so dedup collapses nothing and
+// the variant count IS the Cartesian product.
 func sweepRequest() service.SweepRequest {
+	ints := func(n, from int) []any {
+		vals := make([]any, n)
+		for i := range vals {
+			vals[i] = from + i
+		}
+		return vals
+	}
 	base := bigBase()
-	_, wire := gridAxes()
-	return service.SweepRequest{Base: &base, Name: "bigsweep/grid", Model: "rtl", Axes: wire}
+	return service.SweepRequest{
+		Base: &base, Name: "bigsweep/grid", Model: "rtl",
+		Axes: []service.SweepAxis{
+			{Param: "urgency_threshold", Values: ints(25, 0)},
+			{Param: "count", Values: ints(20, 1)},
+			{Param: "write_buffer_depth", Values: ints(20, 0)},
+		},
+	}
 }
 
 func analyzeSelector() agg.Request {
@@ -126,93 +106,55 @@ func analyzeSelector() agg.Request {
 	}
 }
 
-// streamLine is one NDJSON line of a router sweep stream: a data row
-// or (done set) the terminal summary.
-type streamLine struct {
-	shard.Row
-	Done   bool `json:"done"`
-	Rows   int  `json:"rows"`
-	Errors int  `json:"errors"`
+// sweepStatus reads GET /sweep/{id} and returns the HTTP status and
+// the decoded status (zero unless 200).
+func sweepStatus(url, id string) (int, service.SweepStatus) {
+	status, _, body := d.Get(url + "/sweep/" + id)
+	var st service.SweepStatus
+	if status == http.StatusOK && json.Unmarshal(body, &st) != nil {
+		d.Failf("status body does not parse: %s", body)
+	}
+	return status, st
 }
 
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "bigsweep")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
+	d = drill.New("bigsweep_service")
+	defer d.Close()
 
-	// 1. Fault-free reference, in-process.
-	ref, err := service.New(service.Options{Workers: 8, StoreDir: filepath.Join(tmp, "ref")})
-	if err != nil {
-		fail("reference server: %v", err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
-	defer refTS.Close()
-	defer ref.Close()
-	refReq, err := json.Marshal(service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: analyzeSelector()})
-	if err != nil {
-		fail("%v", err)
-	}
+	// 1. Fault-free reference, in-process. Every tier derives the sweep
+	// ID from the request alone; the cluster must stream under it.
+	_, refURL, _ := d.Server(service.Options{Workers: 8, StoreDir: filepath.Join(d.Tmp, "ref")})
 	start := time.Now()
-	resp, err := http.Post(refTS.URL+"/sweep/analyze", "application/json", bytes.NewReader(refReq))
+	refDoc, refBody := d.Analyze(refURL, service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: analyzeSelector()})
+	refID, err := service.SweepID(sweepRequest(), nil)
 	if err != nil {
-		fail("reference analyze: %v", err)
+		d.Failf("sweep id: %v", err)
 	}
-	refBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("reference analyze status %d: %s", resp.StatusCode, refBody)
-	}
-	refID := resp.Header.Get(service.SweepIDHeader)
-	var refDoc agg.Analysis
-	if err := json.Unmarshal(refBody, &refDoc); err != nil {
-		fail("reference analyze body: %v", err)
-	}
-	if refDoc.Incomplete || refDoc.Analyzed != totalVariants || refDoc.Best == nil || refID == "" {
-		fail("reference implausible (analyzed %d, incomplete %v, id %q)", refDoc.Analyzed, refDoc.Incomplete, refID)
+	if refDoc.Incomplete || refDoc.Analyzed != totalVariants || refDoc.Best == nil {
+		d.Failf("reference implausible (analyzed %d, incomplete %v)", refDoc.Analyzed, refDoc.Incomplete)
 	}
 	fmt.Printf("fault-free reference: %d variants analyzed in %v, sweep id %s\n",
 		refDoc.Analyzed, time.Since(start).Round(time.Millisecond), refID[:12])
 
 	// The cluster: 4 real workers, shard 0 crippled to one worker so
 	// its queue backs up and the others must steal from it.
-	dir := filepath.Join(tmp, "cluster")
-	sup, err := shard.SpawnWith(bin, 4, func(i int) []string {
+	dir := filepath.Join(d.Tmp, "cluster")
+	sup, front := d.Cluster(4, func(i int) []string {
 		workers := "3"
 		if i == 0 {
 			workers = "1"
 		}
 		return []string{"-workers", workers, "-store", filepath.Join(dir, fmt.Sprintf("shard-%d", i))}
-	}, shard.SpawnOptions{})
-	if err != nil {
-		fail("spawning cluster: %v", err)
-	}
-	defer sup.Stop()
-	rt, err := shard.New(shard.Options{Backends: sup.URLs(), Supervisor: sup})
-	if err != nil {
-		fail("router: %v", err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	}, shard.SpawnOptions{}, shard.Options{})
 
-	// Local routing table: variant spec and owner by grid index.
-	local, _ := gridAxes()
-	variants := sweep.MustExpand(sweep.Grid{Name: "bigsweep/grid", Base: bigBase(), Axes: local})
+	// Local routing table: variant spec and owner by grid index, from
+	// the same wire request the router expands.
+	variants, err := service.ExpandSweepRequest(sweepRequest(), nil, 0)
+	if err != nil {
+		d.Failf("expanding grid locally: %v", err)
+	}
 	if len(variants) != totalVariants {
-		fail("grid expanded to %d variants, want %d — adjust the axes", len(variants), totalVariants)
+		d.Failf("grid expanded to %d variants, want %d — adjust the axes", len(variants), totalVariants)
 	}
 	byIndex := make(map[int]sweep.Variant, len(variants))
 	perShard := make([]int, 4)
@@ -231,61 +173,36 @@ func main() {
 
 	// 2. Stream the grid; SIGKILL the victim after 1,000 rows; hang up
 	// after 3,000.
-	sweepBuf, err := json.Marshal(sweepRequest())
-	if err != nil {
-		fail("%v", err)
-	}
 	start = time.Now()
-	resp, err = http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(sweepBuf))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	id := resp.Header.Get(service.SweepIDHeader)
-	if id != refID {
-		fail("cluster sweep id %q != reference id %q — tiers disagree on sweep identity", id, refID)
-	}
-	if v := resp.Header.Get("X-Sweep-Variants"); v != fmt.Sprint(totalVariants) {
-		fail("X-Sweep-Variants %q, want %d", v, totalVariants)
-	}
-
 	victimPid := sup.Procs()[victim].Pid
 	firstRows := map[int]shard.Row{}
 	killed := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var line streamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			fail("sweep stream line: %v", err)
+	_, _, hdr := d.Sweep(front+"/sweep", sweepRequest(), func(row shard.Row) bool {
+		if row.Error != "" {
+			d.Failf("error row %d during the first stream: %s", row.Index, row.Error)
 		}
-		if line.Done {
-			fail("stream completed after %d rows — the drill hung up too late to matter", len(firstRows))
+		if _, dup := firstRows[row.Index]; dup {
+			d.Failf("index %d streamed twice in one stream", row.Index)
 		}
-		if line.Error != "" {
-			fail("error row %d during the first stream: %s", line.Index, line.Error)
-		}
-		if _, dup := firstRows[line.Index]; dup {
-			fail("index %d streamed twice in one stream", line.Index)
-		}
-		firstRows[line.Index] = line.Row
+		firstRows[row.Index] = row
 		if !killed && len(firstRows) >= killAfterRows {
 			syscall.Kill(victimPid, syscall.SIGKILL)
 			killed = true
 			fmt.Printf("killed shard %d (pid %d, owns %d variants) after %d rows\n",
 				victim, victimPid, perShard[victim], len(firstRows))
 		}
-		if len(firstRows) >= hangUpAfter {
-			break
-		}
-	}
+		return len(firstRows) < hangUpAfter // false: the client disconnect
+	})
 	if !killed || len(firstRows) < hangUpAfter {
-		fail("stream ended early: %d rows (killed=%v)", len(firstRows), killed)
+		d.Failf("stream completed after %d rows (killed=%v) — the drill hung up too late to matter", len(firstRows), killed)
 	}
-	resp.Body.Close() // the client disconnect
+	id := hdr.Get(service.SweepIDHeader)
+	if id != refID {
+		d.Failf("cluster sweep id %q != reference id %q — tiers disagree on sweep identity", id, refID)
+	}
+	if v := hdr.Get("X-Sweep-Variants"); v != fmt.Sprint(totalVariants) {
+		d.Failf("X-Sweep-Variants %q, want %d", v, totalVariants)
+	}
 
 	// P: the contiguous high-water mark a real client would resume from.
 	p := -1
@@ -293,7 +210,7 @@ func main() {
 		p++
 	}
 	if p < 0 {
-		fail("no contiguous prefix in %d rows", len(firstRows))
+		d.Failf("no contiguous prefix in %d rows", len(firstRows))
 	}
 	fmt.Printf("hung up after %d rows (%v); contiguous prefix P=%d\n",
 		len(firstRows), time.Since(start).Round(time.Millisecond), p)
@@ -302,58 +219,33 @@ func main() {
 	// for the manifest to become visible.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := http.Get(front.URL + "/sweep/" + id)
-		if err == nil {
-			io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-			if r.StatusCode == http.StatusOK {
-				break
-			}
+		if status, _ := sweepStatus(front, id); status == http.StatusOK {
+			break
 		}
 		if time.Now().After(deadline) {
-			fail("manifest for %s never became visible after the disconnect", id)
+			d.Failf("manifest for %s never became visible after the disconnect", id)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 
 	// 3. Resume past P and drain to the terminal summary.
 	start = time.Now()
-	resp, err = http.Get(fmt.Sprintf("%s/sweep/%s/resume?after=%d", front.URL, id, p))
-	if err != nil {
-		fail("resume: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("resume status %d: %s", resp.StatusCode, body)
-	}
 	resumeRows := map[int]shard.Row{}
-	var summary service.SweepSummary
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(lineBytes []byte) error {
-		var row shard.Row
-		if err := json.Unmarshal(lineBytes, &row); err != nil {
-			return err
-		}
+	_, summary, _ := d.Sweep(fmt.Sprintf("%s/sweep/%s/resume?after=%d", front, id, p), nil, func(row shard.Row) bool {
 		if row.Error != "" {
-			fail("error row %d during resume: %s", row.Index, row.Error)
+			d.Failf("error row %d during resume: %s", row.Index, row.Error)
 		}
 		if row.Index <= p {
-			fail("resume replayed index %d <= P=%d", row.Index, p)
+			d.Failf("resume replayed index %d <= P=%d", row.Index, p)
 		}
 		if _, dup := resumeRows[row.Index]; dup {
-			fail("index %d streamed twice in the resume", row.Index)
+			d.Failf("index %d streamed twice in the resume", row.Index)
 		}
 		resumeRows[row.Index] = row
-		return nil
+		return true
 	})
-	resp.Body.Close()
-	if err != nil {
-		fail("resume stream: %v", err)
-	}
-	if !done {
-		fail("resume stream truncated after %d rows", len(resumeRows))
-	}
-	if summary.Errors != 0 || summary.Rows != len(resumeRows) {
-		fail("resume summary %+v vs %d rows", summary, len(resumeRows))
+	if summary.Errors != 0 {
+		d.Failf("resume summary %+v vs %d rows", summary, len(resumeRows))
 	}
 	fmt.Printf("resume streamed %d rows in %v with a truthful terminal summary\n",
 		len(resumeRows), time.Since(start).Round(time.Millisecond))
@@ -371,24 +263,24 @@ func main() {
 		if first, ok := firstRows[idx]; ok {
 			overlap++
 			if !bytes.Equal(first.Result, row.Result) {
-				fail("index %d differs between the first stream and the resume", idx)
+				d.Failf("index %d differs between the first stream and the resume", idx)
 			}
 		}
 		if _, dup := union[idx]; dup {
-			fail("index %d covered twice in the union", idx)
+			d.Failf("index %d covered twice in the union", idx)
 		}
 		union[idx] = row.Result
 	}
 	if len(union) != totalVariants {
-		fail("union covers %d of %d variants — gaps in the resumed sweep", len(union), totalVariants)
+		d.Failf("union covers %d of %d variants — gaps in the resumed sweep", len(union), totalVariants)
 	}
 	for i := 0; i < totalVariants; i++ {
 		if _, ok := union[i]; !ok {
-			fail("index %d missing from the union", i)
+			d.Failf("index %d missing from the union", i)
 		}
 		want := byIndex[i]
 		if got := firstRows[i].Hash; got != "" && got != want.Hash {
-			fail("index %d hash %s, locally expanded %s", i, got, want.Hash)
+			d.Failf("index %d hash %s, locally expanded %s", i, got, want.Hash)
 		}
 	}
 	fmt.Printf("union exact: %d indices, no gaps, no duplicates, %d overlapping rows byte-identical\n",
@@ -406,79 +298,55 @@ func main() {
 			var owner, thief int
 			if _, err := fmt.Sscanf(row.Stolen, "%d->%d", &owner, &thief); err != nil ||
 				owner == thief || owner < 0 || owner > 3 || thief < 0 || thief > 3 {
-				fail("malformed stolen tag %q on index %d", row.Stolen, row.Index)
+				d.Failf("malformed stolen tag %q on index %d", row.Stolen, row.Index)
 			}
 			if row.Shard != thief {
-				fail("stolen row %d served by shard %d, tag says thief %d", row.Index, row.Shard, thief)
+				d.Failf("stolen row %d served by shard %d, tag says thief %d", row.Index, row.Shard, thief)
 			}
 			if owner == victim || checked >= 5 {
 				continue // the victim's store may have died with it
 			}
 			checked++
 			v := byIndex[row.Index]
-			runBuf, _ := json.Marshal(map[string]any{"spec": v.Spec, "model": "rtl"})
-			r, err := http.Post(sup.URLs()[owner]+"/run", "application/json", bytes.NewReader(runBuf))
-			if err != nil {
-				fail("owner %d replay: %v", owner, err)
+			status, hdr, body := d.Post(sup.URLs()[owner]+"/run", map[string]any{"spec": v.Spec, "model": "rtl"})
+			if status != http.StatusOK {
+				d.Failf("owner %d replay status %d: %s", owner, status, body)
 			}
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			if r.StatusCode != http.StatusOK {
-				fail("owner %d replay status %d: %s", owner, r.StatusCode, body)
-			}
-			if r.Header.Get("X-Cache") != "hit" {
-				fail("stolen index %d absent from owner %d's store (X-Cache %q) — write-back lost",
-					row.Index, owner, r.Header.Get("X-Cache"))
+			if hdr.Get("X-Cache") != "hit" {
+				d.Failf("stolen index %d absent from owner %d's store (X-Cache %q) — write-back lost",
+					row.Index, owner, hdr.Get("X-Cache"))
 			}
 			if !bytes.Equal(body, row.Result) {
-				fail("stolen index %d: owner %d's stored envelope differs from the streamed row", row.Index, owner)
+				d.Failf("stolen index %d: owner %d's stored envelope differs from the streamed row", row.Index, owner)
 			}
 		}
 		return stolen
 	}
 	stolen := checkRows(firstRows) + checkRows(resumeRows)
 	if stolen == 0 {
-		fail("zero stolen rows across both streams — the 3:1 worker skew never forced a steal")
+		d.Failf("zero stolen rows across both streams — the 3:1 worker skew never forced a steal")
 	}
 	fmt.Printf("%d rows work-stolen; sampled write-backs present in owner stores byte-identically\n", stolen)
 
 	// 5. The manifest says complete, and the stored analyze reproduces
 	// the fault-free reference byte for byte with zero re-simulation.
-	r, err := http.Get(front.URL + "/sweep/" + id)
-	if err != nil {
-		fail("status: %v", err)
-	}
-	statusBody, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		fail("status %d: %s", r.StatusCode, statusBody)
-	}
-	var st service.SweepStatus
-	if err := json.Unmarshal(statusBody, &st); err != nil {
-		fail("status body: %v", err)
-	}
-	if !st.Complete || st.Total != totalVariants || st.Variants != totalVariants ||
+	status, st := sweepStatus(front, id)
+	if status != http.StatusOK || !st.Complete || st.Total != totalVariants || st.Variants != totalVariants ||
 		st.DoneCount != totalVariants || st.FailedCount != 0 {
-		fail("status not complete: total %d variants %d done %d failed %d complete %v",
-			st.Total, st.Variants, st.DoneCount, st.FailedCount, st.Complete)
+		d.Failf("status %d not complete: total %d variants %d done %d failed %d complete %v",
+			status, st.Total, st.Variants, st.DoneCount, st.FailedCount, st.Complete)
 	}
 
-	selBuf, _ := json.Marshal(analyzeSelector())
 	start = time.Now()
-	r, err = http.Post(front.URL+"/sweep/"+id+"/analyze", "application/json", bytes.NewReader(selBuf))
-	if err != nil {
-		fail("stored analyze: %v", err)
+	status, hdr, gotBody := d.Post(front+"/sweep/"+id+"/analyze", analyzeSelector())
+	if status != http.StatusOK {
+		d.Failf("stored analyze status %d: %s", status, gotBody)
 	}
-	gotBody, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		fail("stored analyze status %d: %s", r.StatusCode, gotBody)
-	}
-	if r.Header.Get(service.SweepIDHeader) != id {
-		fail("stored analyze id header %q", r.Header.Get(service.SweepIDHeader))
+	if hdr.Get(service.SweepIDHeader) != id {
+		d.Failf("stored analyze id header %q", hdr.Get(service.SweepIDHeader))
 	}
 	if !bytes.Equal(gotBody, refBody) {
-		fail("stored analyze differs from the fault-free reference:\n%.300s\n%.300s", gotBody, refBody)
+		d.Failf("stored analyze differs from the fault-free reference:\n%.300s\n%.300s", gotBody, refBody)
 	}
 	fmt.Printf("GET /sweep/{id} complete; stored analyze byte-identical to the fault-free reference (%v, zero re-simulation)\n",
 		time.Since(start).Round(time.Millisecond))

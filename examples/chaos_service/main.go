@@ -48,14 +48,9 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -65,17 +60,15 @@ import (
 	"repro/internal/agg"
 	"repro/internal/chaos"
 	"repro/internal/config"
+	"repro/internal/drill"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chaos_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill.
+var d *drill.Drill
 
 // chaosBase is the drill workload: RTL-model heavy enough that a
 // 64-variant sweep gives the faults a real window to land in, light
@@ -93,34 +86,24 @@ func chaosBase() spec.Spec {
 	}
 }
 
-// gridAxes is the 64-variant product, in both the local (expansion)
-// and wire forms — they MUST stay in lockstep or the locally computed
-// owners would not match what the router actually routes.
-func gridAxes() ([]sweep.Axis, []service.SweepAxis) {
-	local := []sweep.Axis{
-		{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 4}, {V: 8}}},
-		{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
-		{Param: sweep.ParamClosedPage, Values: []sweep.Value{{V: true}, {V: false}}},
-		{Param: sweep.ParamFilters, Values: []sweep.Value{{V: "all"}, {V: "rr-only"}}},
-		{Param: sweep.ParamPipelining, Values: []sweep.Value{{V: true}, {V: false}}},
+// sweepRequest is the 64-variant grid the drill streams and analyzes.
+func sweepRequest() service.SweepRequest {
+	base := chaosBase()
+	return service.SweepRequest{
+		Base: &base, Name: "chaos/grid", Model: "rtl",
+		Axes: []service.SweepAxis{
+			{Param: "write_buffer_depth", Values: []any{0, 2, 4, 8}},
+			{Param: "bi_enabled", Values: []any{true, false}},
+			{Param: "closed_page", Values: []any{true, false}},
+			{Param: "filters", Values: []any{"all", "rr-only"}},
+			{Param: "pipelining", Values: []any{true, false}},
+		},
 	}
-	wire := []service.SweepAxis{
-		{Param: "write_buffer_depth", Values: []any{0, 2, 4, 8}},
-		{Param: "bi_enabled", Values: []any{true, false}},
-		{Param: "closed_page", Values: []any{true, false}},
-		{Param: "filters", Values: []any{"all", "rr-only"}},
-		{Param: "pipelining", Values: []any{true, false}},
-	}
-	return local, wire
 }
 
 func analyzeRequest() service.AnalyzeRequest {
-	base := chaosBase()
-	_, wire := gridAxes()
 	return service.AnalyzeRequest{
-		SweepRequest: service.SweepRequest{
-			Base: &base, Name: "chaos/grid", Model: "rtl", Axes: wire,
-		},
+		SweepRequest: sweepRequest(),
 		Request: agg.Request{
 			Metric: "cycles", TopK: 5,
 			Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
@@ -128,110 +111,31 @@ func analyzeRequest() service.AnalyzeRequest {
 	}
 }
 
-// runSweep streams the grid and invokes onRow per data row as it
-// arrives (the kill hook); it fails the drill on any truncation or a
-// summary that disagrees with the stream.
-func runSweep(url string, req []byte, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary, hdr http.Header) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	hdr = resp.Header
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
-	return rows, summary, hdr
-}
-
-func clusterHealth(url string) (shard.ClusterHealth, error) {
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		return shard.ClusterHealth{}, err
-	}
-	defer resp.Body.Close()
-	var h shard.ClusterHealth
-	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
-// postAnalyze submits a /sweep/analyze request through the typed
-// client, returning the decoded document plus the raw bytes for
-// byte-identity checks.
-func postAnalyze(url string, req service.AnalyzeRequest) (agg.Analysis, []byte) {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), req)
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
-	return *doc, body
-}
-
 // waitShard polls the cluster healthz until cond accepts the shard's
 // entry (30s budget).
 func waitShard(front string, i int, what string, cond func(shard.ShardHealth) bool) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		h, err := clusterHealth(front)
+		h, err := drill.Health(front)
 		if err == nil && len(h.Shards) > i && cond(h.Shards[i]) {
 			return
 		}
 		if time.Now().After(deadline) {
-			fail("shard %d never reached %s: %+v (err %v)", i, what, h, err)
+			d.Failf("shard %d never reached %s: %+v (err %v)", i, what, h, err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "chaossmoke")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
+	d = drill.New("chaos_service")
+	defer d.Close()
 
 	// 1. The fault-free reference analysis, computed in-process.
-	ref, err := service.New(service.Options{Workers: 4, StoreDir: filepath.Join(tmp, "ref")})
-	if err != nil {
-		fail("reference server: %v", err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
-	defer refTS.Close()
-	defer ref.Close()
-	refDoc, refBody := postAnalyze(refTS.URL, analyzeRequest())
+	_, refURL, _ := d.Server(service.Options{Workers: 4, StoreDir: filepath.Join(d.Tmp, "ref")})
+	refDoc, refBody := d.Analyze(refURL, analyzeRequest())
 	if refDoc.Incomplete || refDoc.Analyzed != 64 || refDoc.Best == nil {
-		fail("fault-free reference implausible: %s", refBody)
+		d.Failf("fault-free reference implausible: %s", refBody)
 	}
 	fmt.Printf("fault-free reference: 64 variants analyzed, best %s=%g at %s\n",
 		refDoc.Metric, refDoc.Best.Value, refDoc.Best.Name)
@@ -240,37 +144,27 @@ func main() {
 	// behind an in-process router. A tight respawn budget with a huge
 	// StableUptime makes the crash-loop drill deterministic: every
 	// kill in this drill counts as part of one consecutive campaign.
-	dir := filepath.Join(tmp, "cluster")
-	sup, err := shard.SpawnWith(bin, 3, func(i int) []string {
+	dir := filepath.Join(d.Tmp, "cluster")
+	sup, front := d.Cluster(3, func(i int) []string {
 		return []string{"-workers", "1", "-store", filepath.Join(dir, fmt.Sprintf("shard-%d", i))}
 	}, shard.SpawnOptions{
 		RespawnBase:     250 * time.Millisecond,
 		RespawnMax:      time.Second,
 		RespawnAttempts: 3,
 		StableUptime:    time.Hour,
-	})
-	if err != nil {
-		fail("spawning cluster: %v", err)
-	}
-	defer sup.Stop()
-	rt, err := shard.New(shard.Options{
-		Backends:         sup.URLs(),
-		Supervisor:       sup,
+	}, shard.Options{
 		BreakerThreshold: 2,
 		BreakerInterval:  200 * time.Millisecond,
 	})
-	if err != nil {
-		fail("router: %v", err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
 
-	// Local routing table: owner and full rendezvous rank per variant.
-	local, _ := gridAxes()
-	variants := sweep.MustExpand(sweep.Grid{Name: "chaos/grid", Base: chaosBase(), Axes: local})
+	// Local routing table: owner and full rendezvous rank per variant,
+	// from the same wire request the router expands.
+	variants, err := service.ExpandSweepRequest(sweepRequest(), nil, 0)
+	if err != nil {
+		d.Failf("expanding grid locally: %v", err)
+	}
 	if len(variants) != 64 {
-		fail("grid expanded to %d variants, want 64 — adjust the axes", len(variants))
+		d.Failf("grid expanded to %d variants, want 64 — adjust the axes", len(variants))
 	}
 	owners := map[string]int{}
 	ranks := map[string][]int{}
@@ -282,13 +176,8 @@ func main() {
 		perShard[owners[v.Hash]]++
 	}
 	if perShard[0] == 0 || perShard[1] == 0 || perShard[2] == 0 {
-		fail("degenerate 3-way partition %v", perShard)
+		d.Failf("degenerate 3-way partition %v", perShard)
 	}
-
-	sweepReq, _ := json.Marshal(service.SweepRequest{
-		Base: func() *spec.Spec { b := chaosBase(); return &b }(),
-		Name: "chaos/grid", Model: "rtl", Axes: func() []service.SweepAxis { _, w := gridAxes(); return w }(),
-	})
 
 	// 2. SIGKILL the busiest shard mid-sweep; failover must keep the
 	// stream error-free.
@@ -302,24 +191,25 @@ func main() {
 	fmt.Printf("cold 64-variant RTL sweep (split %v); killing shard %d (pid %d) after its first row\n",
 		perShard, victim, victimPid)
 	killed := false
-	rows, summary, sweepHdr := runSweep(front.URL, sweepReq, func(r shard.Row) {
+	rows, summary, sweepHdr := d.Sweep(front+"/sweep", sweepRequest(), func(r shard.Row) bool {
 		if !killed && r.Shard == victim && r.Error == "" {
 			syscall.Kill(victimPid, syscall.SIGKILL)
 			killed = true
 			fmt.Printf("  killed shard %d after row %s\n", victim, r.Name)
 		}
+		return true
 	})
 	if !killed {
-		fail("victim shard produced no successful row to trigger on")
+		d.Failf("victim shard produced no successful row to trigger on")
 	}
 	if len(rows) != 64 || summary.Errors != 0 {
-		fail("kill sweep: %d rows, %d summary errors — want 64 rows, zero errors", len(rows), summary.Errors)
+		d.Failf("kill sweep: %d rows, %d summary errors — want 64 rows, zero errors", len(rows), summary.Errors)
 	}
 	byHash := map[string][]byte{}
 	failovers, stolen := 0, 0
 	for _, r := range rows {
 		if r.Error != "" {
-			fail("error row %s under single-shard loss: %s", r.Name, r.Error)
+			d.Failf("error row %s under single-shard loss: %s", r.Name, r.Error)
 		}
 		byHash[r.Hash] = r.Result
 		if r.Stolen != "" {
@@ -331,14 +221,14 @@ func main() {
 			var o, th int
 			if _, err := fmt.Sscanf(r.Stolen, "%d->%d", &o, &th); err != nil ||
 				o == th || th != r.Shard || o != owners[r.Hash] {
-				fail("row %s stolen tag %q inconsistent (served by %d, owner %d)",
+				d.Failf("row %s stolen tag %q inconsistent (served by %d, owner %d)",
 					r.Name, r.Stolen, r.Shard, owners[r.Hash])
 			}
 			continue
 		}
 		if r.Failover == "" {
 			if r.Shard != owners[r.Hash] {
-				fail("row %s on shard %d without a failover tag, owner %d", r.Name, r.Shard, owners[r.Hash])
+				d.Failf("row %s on shard %d without a failover tag, owner %d", r.Name, r.Shard, owners[r.Hash])
 			}
 			continue
 		}
@@ -353,29 +243,29 @@ func main() {
 			}
 		}
 		if owners[r.Hash] != victim || r.Shard != next {
-			fail("failover row %s owner %d served by shard %d, want next-ranked live shard %d", r.Name, owners[r.Hash], r.Shard, next)
+			d.Failf("failover row %s owner %d served by shard %d, want next-ranked live shard %d", r.Name, owners[r.Hash], r.Shard, next)
 		}
 		if want := fmt.Sprintf("%d->%d", victim, next); r.Failover != want {
-			fail("row %s failover %q, want %q", r.Name, r.Failover, want)
+			d.Failf("row %s failover %q, want %q", r.Name, r.Failover, want)
 		}
 	}
 	if failovers == 0 {
-		fail("no row failed over — the kill never bit")
+		d.Failf("no row failed over — the kill never bit")
 	}
 	fmt.Printf("  64 rows, 0 errors, %d failover rows, %d stolen rows, truthful summary\n", failovers, stolen)
 
 	// 3. After the supervisor revives the victim, the analysis must
 	// reproduce the fault-free reference byte-for-byte.
-	waitShard(front.URL, victim, "respawned with a closed breaker", func(sh shard.ShardHealth) bool {
+	waitShard(front, victim, "respawned with a closed breaker", func(sh shard.ShardHealth) bool {
 		return sh.OK && sh.Proc != nil && sh.Proc.State == shard.ProcRunning &&
 			sh.Proc.Pid != victimPid && sh.Breaker != "open"
 	})
-	doc, body := postAnalyze(front.URL, analyzeRequest())
+	doc, body := d.Analyze(front, analyzeRequest())
 	if doc.Incomplete || doc.Analyzed != 64 {
-		fail("post-respawn analysis degraded: %s", body)
+		d.Failf("post-respawn analysis degraded: %s", body)
 	}
 	if !bytes.Equal(body, refBody) {
-		fail("post-respawn analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
+		d.Failf("post-respawn analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
 	}
 	fmt.Printf("victim respawned; analysis byte-identical to the fault-free reference\n")
 
@@ -388,60 +278,38 @@ func main() {
 	// fault-free reference byte for byte without re-simulating.
 	sweepID := sweepHdr.Get(service.SweepIDHeader)
 	if sweepID == "" {
-		fail("round-2 sweep carried no %s header", service.SweepIDHeader)
+		d.Failf("round-2 sweep carried no %s header", service.SweepIDHeader)
 	}
-	resp, err := http.Get(front.URL + "/sweep/" + sweepID)
-	if err != nil {
-		fail("manifest status: %v", err)
-	}
-	stBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("manifest status %d after SIGKILL: %s", resp.StatusCode, stBody)
+	status, _, stBody := d.Get(front + "/sweep/" + sweepID)
+	if status != http.StatusOK {
+		d.Failf("manifest status %d after SIGKILL: %s", status, stBody)
 	}
 	var st service.SweepStatus
 	if err := json.Unmarshal(stBody, &st); err != nil {
-		fail("manifest TORN after SIGKILL — status body does not parse: %v\n%s", err, stBody)
+		d.Failf("manifest TORN after SIGKILL — status body does not parse: %v\n%s", err, stBody)
 	}
 	if !st.Complete || st.Total != 64 || st.DoneCount != 64 || st.FailedCount != 0 {
-		fail("manifest after SIGKILL: total %d done %d failed %d complete %v, want complete 64",
+		d.Failf("manifest after SIGKILL: total %d done %d failed %d complete %v, want complete 64",
 			st.Total, st.DoneCount, st.FailedCount, st.Complete)
 	}
-	resp, err = http.Get(front.URL + "/sweep/" + sweepID + "/resume?after=31")
-	if err != nil {
-		fail("resume: %v", err)
-	}
-	resumed := 0
-	rsum, rdone, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
+	resumed, rsum, _ := d.Sweep(front+"/sweep/"+sweepID+"/resume?after=31", nil, nil)
+	for _, r := range resumed {
 		if r.Error != "" {
-			fail("resume error row %s: %s", r.Name, r.Error)
+			d.Failf("resume error row %s: %s", r.Name, r.Error)
 		}
 		if r.Index <= 31 {
-			fail("resume replayed index %d <= 31", r.Index)
+			d.Failf("resume replayed index %d <= 31", r.Index)
 		}
-		resumed++
-		return nil
-	})
-	resp.Body.Close()
-	if err != nil || !rdone || resumed != 32 || rsum.Errors != 0 {
-		fail("resume after SIGKILL: %d rows done=%v errors=%d (err %v), want 32 clean rows", resumed, rdone, rsum.Errors, err)
 	}
-	selBuf, _ := json.Marshal(analyzeRequest().Request)
-	resp, err = http.Post(front.URL+"/sweep/"+sweepID+"/analyze", "application/json", bytes.NewReader(selBuf))
-	if err != nil {
-		fail("stored analyze: %v", err)
+	if len(resumed) != 32 || rsum.Errors != 0 {
+		d.Failf("resume after SIGKILL: %d rows errors=%d, want 32 clean rows", len(resumed), rsum.Errors)
 	}
-	storedBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("stored analyze status %d: %s", resp.StatusCode, storedBody)
+	status, _, storedBody := d.Post(front+"/sweep/"+sweepID+"/analyze", analyzeRequest().Request)
+	if status != http.StatusOK {
+		d.Failf("stored analyze status %d: %s", status, storedBody)
 	}
 	if !bytes.Equal(storedBody, refBody) {
-		fail("stored analyze differs from the fault-free reference:\n%s\n%s", storedBody, refBody)
+		d.Failf("stored analyze differs from the fault-free reference:\n%s\n%s", storedBody, refBody)
 	}
 	fmt.Printf("manifest survived the SIGKILL atomically: status complete, resume clean (32 rows), stored analyze byte-identical\n")
 
@@ -458,20 +326,20 @@ func main() {
 			syscall.Kill(st.Pid, syscall.SIGKILL)
 		}
 		if time.Now().After(crashDeadline) {
-			fail("shard %d never exhausted its respawn budget: %+v", crash, st)
+			d.Failf("shard %d never exhausted its respawn budget: %+v", crash, st)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if st := sup.Status()[crash]; st.Respawns != 3 {
-		fail("shard %d dead after %d respawns, want the full budget of 3", crash, st.Respawns)
+		d.Failf("shard %d dead after %d respawns, want the full budget of 3", crash, st.Respawns)
 	}
 	// healthz tells the truth: the shard is dead, the cluster is
 	// degraded — and the cluster still serves everything.
-	waitShard(front.URL, crash, "reported dead", func(sh shard.ShardHealth) bool {
+	waitShard(front, crash, "reported dead", func(sh shard.ShardHealth) bool {
 		return sh.Proc != nil && sh.Proc.State == shard.ProcDead
 	})
-	if h, err := clusterHealth(front.URL); err != nil || h.OK {
-		fail("cluster healthz ok=%v (err %v) with shard %d dead", h.OK, err, crash)
+	if h, err := drill.Health(front); err != nil || h.OK {
+		d.Failf("cluster healthz ok=%v (err %v) with shard %d dead", h.OK, err, crash)
 	}
 	var crashOwned *spec.Spec
 	for _, v := range variants {
@@ -481,28 +349,22 @@ func main() {
 			break
 		}
 	}
-	runBuf, _ := json.Marshal(map[string]any{"spec": crashOwned, "model": "rtl"})
-	resp, err = http.Post(front.URL+"/run", "application/json", bytes.NewReader(runBuf))
-	if err != nil {
-		fail("dead-owned /run: %v", err)
+	status, runHdr, runBody := d.Post(front+"/run", map[string]any{"spec": crashOwned, "model": "rtl"})
+	if status != http.StatusOK {
+		d.Failf("dead-owned /run: %d %s", status, runBody)
 	}
-	runBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("dead-owned /run: %d %s", resp.StatusCode, runBody)
+	if fo := runHdr.Get("X-Failover"); !strings.HasPrefix(fo, fmt.Sprintf("%d->", crash)) {
+		d.Failf("dead-owned /run X-Failover %q, want a path out of shard %d", fo, crash)
 	}
-	if fo := resp.Header.Get("X-Failover"); !strings.HasPrefix(fo, fmt.Sprintf("%d->", crash)) {
-		fail("dead-owned /run X-Failover %q, want a path out of shard %d", fo, crash)
-	}
-	doc, body = postAnalyze(front.URL, analyzeRequest())
+	doc, body = d.Analyze(front, analyzeRequest())
 	if doc.Incomplete || doc.Analyzed != 64 {
-		fail("analysis with a permanently dead shard degraded: %s", body)
+		d.Failf("analysis with a permanently dead shard degraded: %s", body)
 	}
 	if !bytes.Equal(body, refBody) {
-		fail("dead-shard analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
+		d.Failf("dead-shard analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
 	}
 	fmt.Printf("shard %d dead after exhausting its budget; healthz truthful; /run fails over (X-Failover %s); analysis still byte-identical\n",
-		crash, resp.Header.Get("X-Failover"))
+		crash, runHdr.Get("X-Failover"))
 
 	// 5. Corrupt the first victim's store on disk, kill it once more,
 	// and require the revived worker to confess the damage — then
@@ -510,42 +372,42 @@ func main() {
 	storeDir := filepath.Join(dir, fmt.Sprintf("shard-%d", victim))
 	damaged, err := chaos.CorruptResults(storeDir, 4)
 	if err != nil || damaged != 4 {
-		fail("corrupting %s: damaged %d (err %v), want 4", storeDir, damaged, err)
+		d.Failf("corrupting %s: damaged %d (err %v), want 4", storeDir, damaged, err)
 	}
 	pid := sup.Procs()[victim].Pid
 	syscall.Kill(pid, syscall.SIGKILL)
-	waitShard(front.URL, victim, "respawned after corruption", func(sh shard.ShardHealth) bool {
+	waitShard(front, victim, "respawned after corruption", func(sh shard.ShardHealth) bool {
 		return sh.OK && sh.Proc != nil && sh.Proc.State == shard.ProcRunning &&
 			sh.Proc.Pid != pid && sh.Breaker != "open"
 	})
-	waitShard(front.URL, victim, "reporting corrupt_at_open", func(sh shard.ShardHealth) bool {
+	waitShard(front, victim, "reporting corrupt_at_open", func(sh shard.ShardHealth) bool {
 		return sh.Health != nil && sh.Health.Store != nil && sh.Health.Store.CorruptAtOpen == 4
 	})
 	fmt.Printf("shard %d revived over a corrupted store: healthz reports corrupt_at_open=4 (deleted at open)\n", victim)
 
-	final, finalSummary, _ := runSweep(front.URL, sweepReq, nil)
+	final, finalSummary, _ := d.Sweep(front+"/sweep", sweepRequest(), nil)
 	if len(final) != 64 || finalSummary.Errors != 0 {
-		fail("final sweep: %d rows, %d errors", len(final), finalSummary.Errors)
+		d.Failf("final sweep: %d rows, %d errors", len(final), finalSummary.Errors)
 	}
 	for _, r := range final {
 		if !bytes.Equal(r.Result, byHash[r.Hash]) {
-			fail("final row %s differs from round 2 — corruption or failover changed the bytes", r.Name)
+			d.Failf("final row %s differs from round 2 — corruption or failover changed the bytes", r.Name)
 		}
 		if r.Stolen != "" {
 			var o, th int
 			if _, err := fmt.Sscanf(r.Stolen, "%d->%d", &o, &th); err != nil ||
 				o == th || th != r.Shard || o != owners[r.Hash] || th == crash {
-				fail("final row %s stolen tag %q inconsistent (served by %d, owner %d, dead %d)",
+				d.Failf("final row %s stolen tag %q inconsistent (served by %d, owner %d, dead %d)",
 					r.Name, r.Stolen, r.Shard, owners[r.Hash], crash)
 			}
 			continue
 		}
 		if owners[r.Hash] == crash {
 			if r.Failover == "" || r.Shard == crash {
-				fail("row %s owned by dead shard %d served without failover (shard %d)", r.Name, crash, r.Shard)
+				d.Failf("row %s owned by dead shard %d served without failover (shard %d)", r.Name, crash, r.Shard)
 			}
 		} else if r.Failover != "" || r.Shard != owners[r.Hash] {
-			fail("row %s on shard %d (failover %q), owner %d alive", r.Name, r.Shard, r.Failover, owners[r.Hash])
+			d.Failf("row %s on shard %d (failover %q), owner %d alive", r.Name, r.Shard, r.Failover, owners[r.Hash])
 		}
 	}
 	fmt.Printf("final sweep over the degraded cluster: 64 rows, 0 errors, byte-identical\n")
@@ -556,56 +418,26 @@ func main() {
 	// supervisor's fast respawns. The dead shard's own series are
 	// absent from the aggregated scrape (nothing answers), and
 	// simd_shard_up says so explicitly.
-	fams := scrapeMetrics(front.URL)
-	if n := sumCounter(fams, "simd_router_failovers_total"); n == 0 {
-		fail("simd_router_failovers_total is zero after the kill drills")
+	fams := d.Metrics(front)
+	if n := d.SumCounter(fams, "simd_router_failovers_total"); n == 0 {
+		d.Failf("simd_router_failovers_total is zero after the kill drills")
 	}
-	if n := sumCounter(fams, "simd_router_breaker_opens_total"); n == 0 {
-		fail("simd_router_breaker_opens_total is zero — dead shards never tripped a breaker")
+	if n := d.SumCounter(fams, "simd_router_breaker_opens_total"); n == 0 {
+		d.Failf("simd_router_breaker_opens_total is zero — dead shards never tripped a breaker")
 	}
-	if n := sumCounter(fams, "simd_router_shard_restarts_total"); n < 4 {
-		fail("restart counter %d, want >= 4 (1 kill + 3 crash-loop respawns)", n)
+	if n := d.SumCounter(fams, "simd_router_shard_restarts_total"); n < 4 {
+		d.Failf("restart counter %d, want >= 4 (1 kill + 3 crash-loop respawns)", n)
 	}
 	if v := obs.Find(fams, "simd_shard_up", "shard", strconv.Itoa(crash)); len(v) != 1 || v[0] != "0" {
-		fail("dead shard %d not reported down by simd_shard_up: %v", crash, v)
+		d.Failf("dead shard %d not reported down by simd_shard_up: %v", crash, v)
 	}
 	if v := obs.Find(fams, "simd_shard_up", "shard", strconv.Itoa(victim)); len(v) != 1 || v[0] != "1" {
-		fail("revived shard %d not scrapeable: %v", victim, v)
+		d.Failf("revived shard %d not scrapeable: %v", victim, v)
 	}
 	fmt.Printf("metrics truthful: failovers=%d breaker_opens=%d restarts=%d, dead shard down in simd_shard_up\n",
-		sumCounter(fams, "simd_router_failovers_total"),
-		sumCounter(fams, "simd_router_breaker_opens_total"),
-		sumCounter(fams, "simd_router_shard_restarts_total"))
+		d.SumCounter(fams, "simd_router_failovers_total"),
+		d.SumCounter(fams, "simd_router_breaker_opens_total"),
+		d.SumCounter(fams, "simd_router_shard_restarts_total"))
 
 	fmt.Println("chaos smoke OK: kill mid-sweep, crash loop to give-up, and store corruption all absorbed — zero error rows, byte-identical analyses, truthful healthz and metrics")
-}
-
-// scrapeMetrics fetches and parses the router's aggregated /metrics.
-func scrapeMetrics(url string) []obs.Family {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("metrics status %d", resp.StatusCode)
-	}
-	fams, err := obs.ParseText(resp.Body)
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
-	return fams
-}
-
-// sumCounter totals a counter family across all its label sets.
-func sumCounter(fams []obs.Family, name string) int {
-	total := 0
-	for _, v := range obs.Find(fams, name) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail("counter %s value %q: %v", name, v, err)
-		}
-		total += n
-	}
-	return total
 }

@@ -38,21 +38,17 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/drill"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -81,10 +77,8 @@ const (
 	idleFloor = 100 * time.Millisecond
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fair_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill.
+var d *drill.Drill
 
 // fairBase is deliberately tiny — two short generators on the
 // 2-master platform — so ten thousand RTL simulations stay a smoke
@@ -142,27 +136,14 @@ func probeSpec(i int) spec.Spec {
 // probe posts one interactive /run as the given tenant and returns
 // the request latency.
 func probe(front string, i int, tenant string) time.Duration {
-	body, err := json.Marshal(service.RunRequest{Spec: ptr(probeSpec(i)), Model: "rtl"})
-	if err != nil {
-		fail("%v", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, front+"/run", bytes.NewReader(body))
-	if err != nil {
-		fail("%v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req := d.Request(http.MethodPost, front+"/run", service.RunRequest{Spec: ptr(probeSpec(i)), Model: "rtl"})
 	req.Header.Set(service.DefaultTenantHeader, tenant)
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fail("probe %d: %v", i, err)
-	}
+	status, _, respBody := d.Do(req)
 	elapsed := time.Since(start)
-	respBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("probe %d status %d (interactive traffic must never be rejected for the sweep's backlog): %s",
-			i, resp.StatusCode, respBody)
+	if status != http.StatusOK {
+		d.Failf("probe %d status %d (interactive traffic must never be rejected for the sweep's backlog): %s",
+			i, status, respBody)
 	}
 	return elapsed
 }
@@ -185,14 +166,8 @@ func p99(durs []time.Duration) time.Duration {
 // batch class's cluster-wide queue depth (and whether the sched
 // block was present at all).
 func clusterBatchQueued(front string) (int, bool) {
-	resp, err := http.Get(front + "/healthz")
+	ch, err := drill.Health(front)
 	if err != nil {
-		return 0, false
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var ch shard.ClusterHealth
-	if json.Unmarshal(body, &ch) != nil {
 		return 0, false
 	}
 	for _, cs := range ch.Sched {
@@ -204,48 +179,23 @@ func clusterBatchQueued(front string) (int, bool) {
 }
 
 func main() {
-	bin := flag.String("simd", "", "prebuilt simd binary (empty = go build it)")
 	variants := flag.Int("variants", 10_000, "sweep grid size (rounded to the axes product)")
-	flag.Parse()
-
-	tmp, err := os.MkdirTemp("", "fairsvc")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-	simd := *bin
-	if simd == "" {
-		simd = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", simd, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
+	d = drill.New("fair_service")
+	defer d.Close()
 
 	// The cluster: 2 shards x 3 workers, weighted-fair scheduling on
 	// (the default), small enough that a 10k-variant sweep saturates.
-	sup, err := shard.SpawnWith(simd, shardCount, func(i int) []string {
+	sup, front := d.Cluster(shardCount, func(i int) []string {
 		return []string{
 			"-workers", fmt.Sprint(shardWorkers),
-			"-store", filepath.Join(tmp, fmt.Sprintf("shard-%d", i)),
+			"-store", filepath.Join(d.Tmp, fmt.Sprintf("shard-%d", i)),
 		}
-	}, shard.SpawnOptions{})
-	if err != nil {
-		fail("spawning cluster: %v", err)
-	}
-	defer sup.Stop()
-	rt, err := shard.New(shard.Options{Backends: sup.URLs(), Supervisor: sup})
-	if err != nil {
-		fail("router: %v", err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	}, shard.SpawnOptions{}, shard.Options{})
 
 	// 1. Alice's idle baseline.
 	idle := make([]time.Duration, 0, idleProbes)
 	for i := 0; i < idleProbes; i++ {
-		idle = append(idle, probe(front.URL, i, "alice"))
+		idle = append(idle, probe(front, i, "alice"))
 	}
 	idleP99 := p99(idle)
 	bound := 5 * max(idleP99, idleFloor)
@@ -253,63 +203,36 @@ func main() {
 		idleProbes, idleP99.Round(time.Millisecond), bound.Round(time.Millisecond))
 
 	// 2. The sweeper's saturating sweep, drained in the background.
-	sweepBuf, err := json.Marshal(sweepRequest(*variants))
-	if err != nil {
-		fail("%v", err)
-	}
 	total := (max(*variants/400, 1)) * 400
 	type sweepResult struct {
 		rows    int
 		summary service.SweepSummary
-		done    bool
 	}
 	sweepCh := make(chan sweepResult, 1)
 	sweepStart := time.Now()
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, front.URL+"/sweep", bytes.NewReader(sweepBuf))
-		if err != nil {
-			fail("%v", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
+		req := d.Request(http.MethodPost, front+"/sweep", sweepRequest(*variants))
 		req.Header.Set(service.DefaultTenantHeader, "sweeper")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fail("sweep: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			fail("sweep status %d: %s", resp.StatusCode, body)
-		}
-		rows := 0
-		summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-			var row shard.Row
-			if err := json.Unmarshal(line, &row); err != nil {
-				return err
-			}
+		rows, summary, _ := d.Stream(req, func(row shard.Row) bool {
 			if row.Error != "" {
-				fail("sweep error row %d (fairness must throttle the batch class, never break it): %s",
+				d.Failf("sweep error row %d (fairness must throttle the batch class, never break it): %s",
 					row.Index, row.Error)
 			}
-			rows++
-			return nil
+			return true
 		})
-		if err != nil {
-			fail("sweep stream: %v", err)
-		}
-		sweepCh <- sweepResult{rows: rows, summary: summary, done: done}
+		sweepCh <- sweepResult{rows: len(rows), summary: summary}
 	}()
 
 	// Wait for genuine saturation: the cluster-wide batch queue is
 	// backlogged.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if queued, ok := clusterBatchQueued(front.URL); ok && queued > 0 {
+		if queued, ok := clusterBatchQueued(front); ok && queued > 0 {
 			fmt.Printf("sweep saturating: cluster batch queue depth %d\n", queued)
 			break
 		}
 		if time.Now().After(deadline) {
-			fail("cluster healthz never showed a batch backlog — sched block missing or sweep not saturating")
+			d.Failf("cluster healthz never showed a batch backlog — sched block missing or sweep not saturating")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -321,15 +244,10 @@ func main() {
 	checkedWorker := false
 	for attempt := 0; attempt < 100 && !checkedWorker; attempt++ {
 		for _, url := range sup.URLs() {
-			resp, err := http.Get(url + "/healthz")
-			if err != nil {
-				continue
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
+			_, _, body := d.Get(url + "/healthz")
 			var h service.Health
 			if json.Unmarshal(body, &h) != nil || h.Sched == nil {
-				fail("worker %s healthz lacks the sched block: %s", url, body)
+				d.Failf("worker %s healthz lacks the sched block: %s", url, body)
 			}
 			var batch, interactive *sched.ClassStatus
 			for i := range h.Sched.Classes {
@@ -341,16 +259,16 @@ func main() {
 				}
 			}
 			if batch == nil || interactive == nil {
-				fail("worker %s sched block misses a class: %s", url, body)
+				d.Failf("worker %s sched block misses a class: %s", url, body)
 			}
 			if batch.Queued == 0 {
 				continue // this worker drained just now; try the other
 			}
 			if batch.RetryAfter < 1 {
-				fail("worker %s: batch queued %d yet retry_after %d", url, batch.Queued, batch.RetryAfter)
+				d.Failf("worker %s: batch queued %d yet retry_after %d", url, batch.Queued, batch.RetryAfter)
 			}
 			if interactive.RetryAfter > 2 {
-				fail("worker %s: interactive retry_after %d inherited the sweep's backlog (batch %d) — per-class Retry-After broken",
+				d.Failf("worker %s: interactive retry_after %d inherited the sweep's backlog (batch %d) — per-class Retry-After broken",
 					url, interactive.RetryAfter, batch.RetryAfter)
 			}
 			sweeperNamed := false
@@ -360,7 +278,7 @@ func main() {
 				}
 			}
 			if !sweeperNamed {
-				fail("worker %s: batch queued %d but no sweeper tenant row in %s", url, batch.Queued, body)
+				d.Failf("worker %s: batch queued %d but no sweeper tenant row in %s", url, batch.Queued, body)
 			}
 			checkedWorker = true
 			break
@@ -370,7 +288,7 @@ func main() {
 		}
 	}
 	if !checkedWorker {
-		fail("no worker ever showed a backlogged batch class with a sweeper tenant row")
+		d.Failf("no worker ever showed a backlogged batch class with a sweeper tenant row")
 	}
 	fmt.Println("worker healthz honest per class: batch backs off, interactive does not, sweeper's queue named")
 
@@ -380,26 +298,26 @@ func main() {
 	loaded := make([]time.Duration, 0, maxLoadedProbes)
 	var result *sweepResult
 	for i := 0; i < maxLoadedProbes && result == nil; i++ {
-		d := probe(front.URL, idleProbes+i, "alice")
+		lat := probe(front, idleProbes+i, "alice")
 		select {
 		case r := <-sweepCh:
 			// The sweep ended mid-probe; this sample may be partly
 			// unloaded, so it is dropped.
 			result = &r
 		default:
-			loaded = append(loaded, d)
+			loaded = append(loaded, lat)
 		}
 		time.Sleep(probePace)
 	}
 	if len(loaded) < minOverlap {
-		fail("only %d probes overlapped the sweep (want >= %d) — raise -variants so the sweep outlives the probe phase",
+		d.Failf("only %d probes overlapped the sweep (want >= %d) — raise -variants so the sweep outlives the probe phase",
 			len(loaded), minOverlap)
 	}
 	loadedP99 := p99(loaded)
 	fmt.Printf("loaded: %d interactive probes during the sweep, p99 %v, all 200\n",
 		len(loaded), loadedP99.Round(time.Millisecond))
 	if loadedP99 > bound {
-		fail("interactive p99 %v under the sweep exceeds %v (5x idle p99 %v) — starvation resistance broken",
+		d.Failf("interactive p99 %v under the sweep exceeds %v (5x idle p99 %v) — starvation resistance broken",
 			loadedP99, bound, idleP99)
 	}
 
@@ -412,43 +330,32 @@ func main() {
 				result = &r
 			case <-time.After(time.Second):
 				if time.Now().After(deadline) {
-					fail("sweep did not finish within 15m")
+					d.Failf("sweep did not finish within 15m")
 				}
 			}
 		}
 	}
-	if !result.done || result.summary.Errors != 0 || result.rows != total || result.summary.Rows != total {
-		fail("sweep finished dishonestly: done=%v rows=%d summary=%+v want %d rows, zero errors",
-			result.done, result.rows, result.summary, total)
+	if result.summary.Errors != 0 || result.rows != total || result.summary.Rows != total {
+		d.Failf("sweep finished dishonestly: rows=%d summary=%+v want %d rows, zero errors",
+			result.rows, result.summary, total)
 	}
 	fmt.Printf("sweep complete: %d rows, zero errors, %v total\n",
 		result.rows, time.Since(sweepStart).Round(time.Millisecond))
 
 	// The sched metric families are on the worker scrape, keyed like
 	// the healthz blocks the drill just read.
-	resp, err := http.Get(sup.URLs()[0] + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"simd_sched_queue_depth", `tenant="sweeper"`, `class="batch"`,
-		"simd_sched_wait_seconds", "simd_sched_rejections_total", "simd_sched_dispatched_total",
+	fams := d.Metrics(sup.URLs()[0])
+	for _, want := range [][]string{
+		{"simd_sched_queue_depth", "tenant", "sweeper", "class", "batch"},
+		{"simd_sched_wait_seconds_count"}, {"simd_sched_rejections_total"}, {"simd_sched_dispatched_total"},
 	} {
-		if !strings.Contains(string(metrics), want) {
-			fail("worker metrics missing %s", want)
+		if len(obs.Find(fams, want[0], want[1:]...)) == 0 {
+			d.Failf("worker metrics missing %v", want)
 		}
 	}
 	// And the aggregated router scrape re-exposes them per shard.
-	resp, err = http.Get(front.URL + "/metrics")
-	if err != nil {
-		fail("router metrics: %v", err)
-	}
-	routerMetrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(routerMetrics), "simd_sched_queue_depth") {
-		fail("aggregated router metrics missing simd_sched_queue_depth")
+	if len(obs.Find(d.Metrics(front), "simd_sched_queue_depth")) == 0 {
+		d.Failf("aggregated router metrics missing simd_sched_queue_depth")
 	}
 
 	fmt.Printf("fairness smoke OK: interactive p99 %v under a saturating %d-variant sweep (bound %v), zero rejections, zero error rows\n",

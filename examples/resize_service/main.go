@@ -42,14 +42,10 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -57,15 +53,14 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/config"
+	"repro/internal/drill"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "resize_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill.
+var d *drill.Drill
 
 // resizeBase is the drill workload: TL-model and small, so the whole
 // drill — two full sweeps, a grow, a drain under load — stays a smoke.
@@ -105,122 +100,40 @@ func analyzeRequest() service.AnalyzeRequest {
 	}
 }
 
-// runSweep streams the grid, invoking onRow per data row as it
-// arrives; fails the drill on truncation or a lying summary.
-func runSweep(url string, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary) {
-	req, err := json.Marshal(sweepRequest())
-	if err != nil {
-		fail("%v", err)
-	}
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
-	return rows, summary
-}
-
-func postAnalyze(url string) []byte {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), analyzeRequest())
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
+// completeAnalysis analyzes the grid against url and returns the
+// document's bytes, failing the drill on an incomplete analysis.
+func completeAnalysis(url string) []byte {
+	doc, body := d.Analyze(url, analyzeRequest())
 	if doc.Incomplete {
-		fail("analysis incomplete: %s", body)
+		d.Failf("analysis incomplete: %s", body)
 	}
 	return body
 }
 
 func topology(front string) shard.Topology {
-	resp, err := http.Get(front + "/admin/shards")
-	if err != nil {
-		fail("topology: %v", err)
-	}
-	defer resp.Body.Close()
+	_, _, body := d.Get(front + "/admin/shards")
 	var top shard.Topology
-	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
-		fail("topology: %v", err)
+	if err := json.Unmarshal(body, &top); err != nil {
+		d.Failf("topology: %v", err)
 	}
 	return top
 }
 
-func postAdmin(front, path string, body any) (int, []byte) {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			fail("%v", err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	resp, err := http.Post(front+path, "application/json", rd)
-	if err != nil {
-		fail("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, out
-}
-
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "resizesmoke")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
+	d = drill.New("resize_service")
+	defer d.Close()
 
 	// 1. The fault-free reference analysis, computed in-process.
-	ref, err := service.New(service.Options{Workers: 4, StoreDir: filepath.Join(tmp, "ref")})
-	if err != nil {
-		fail("reference server: %v", err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
-	refBody := postAnalyze(refTS.URL)
-	refTS.Close()
-	ref.Close()
+	_, refURL, stopRef := d.Server(service.Options{Workers: 4, StoreDir: filepath.Join(d.Tmp, "ref")})
+	refBody := completeAnalysis(refURL)
+	stopRef()
 	fmt.Printf("fault-free reference: %d analysis bytes\n", len(refBody))
 
 	// The same grid, expanded locally: the row-count truth and the
 	// source of warm /run bodies for the drain-under-load phase.
 	variants, err := service.ExpandSweepRequest(sweepRequest(), nil, 0)
 	if err != nil {
-		fail("expanding grid locally: %v", err)
+		d.Failf("expanding grid locally: %v", err)
 	}
 	specByName := make(map[string]spec.Spec, len(variants))
 	for _, v := range variants {
@@ -230,61 +143,47 @@ func main() {
 	// 2. The elastic cluster: two supervised workers to start. The
 	// argsFor closure keys store directories by STABLE shard ID, so
 	// workers admitted later get their own fresh stores.
-	dir := filepath.Join(tmp, "cluster")
-	sup, err := shard.Spawn(bin, 2, func(i int) []string {
+	dir := filepath.Join(d.Tmp, "cluster")
+	sup, front := d.Cluster(2, func(i int) []string {
 		return []string{"-workers", "1", "-store", filepath.Join(dir, fmt.Sprintf("shard-%d", i))}
-	}, os.Stderr)
-	if err != nil {
-		fail("spawning cluster: %v", err)
-	}
-	defer sup.Stop()
-	rt, err := shard.New(shard.Options{Backends: sup.URLs(), Supervisor: sup})
-	if err != nil {
-		fail("router: %v", err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	}, shard.SpawnOptions{}, shard.Options{})
 
-	if top := topology(front.URL); top.Epoch != 1 || len(top.Members) != 2 {
-		fail("boot topology: %+v", top)
+	if top := topology(front); top.Epoch != 1 || len(top.Members) != 2 {
+		d.Failf("boot topology: %+v", top)
 	}
 
 	// Grow 2→4 mid-sweep: fire the admin call from the row callback so
 	// the membership swap lands while the stream is in flight.
-	var grew sync.Once
-	var growErr atomic.Value
-	rows, summary := runSweep(front.URL, func(r shard.Row) {
-		grew.Do(func() {
-			status, body := postAdmin(front.URL, "/admin/shards", map[string]any{"count": 2})
-			if status != http.StatusOK {
-				growErr.Store(fmt.Sprintf("grow status %d: %s", status, body))
+	grew := false
+	rows, summary, _ := d.Sweep(front+"/sweep", sweepRequest(), func(shard.Row) bool {
+		if !grew {
+			grew = true
+			if status, _, body := d.Post(front+"/admin/shards", map[string]any{"count": 2}); status != http.StatusOK {
+				d.Failf("grow status %d: %s", status, body)
 			}
-		})
+		}
+		return true
 	})
-	if e := growErr.Load(); e != nil {
-		fail("%s", e)
-	}
 	if summary.Errors != 0 {
-		fail("mid-grow sweep carried %d error rows, want 0", summary.Errors)
+		d.Failf("mid-grow sweep carried %d error rows, want 0", summary.Errors)
 	}
 	if len(rows) != len(variants) {
-		fail("mid-grow sweep carried %d rows, want %d", len(rows), len(variants))
+		d.Failf("mid-grow sweep carried %d rows, want %d", len(rows), len(variants))
 	}
-	top := topology(front.URL)
+	top := topology(front)
 	if top.Epoch != 2 || len(top.Members) != 4 {
-		fail("post-grow topology: %+v", top)
+		d.Failf("post-grow topology: %+v", top)
 	}
 	fmt.Printf("grew 2→4 mid-sweep: %d rows, 0 errors, epoch %d\n", len(rows), top.Epoch)
-	if body := postAnalyze(front.URL); !bytes.Equal(body, refBody) {
-		fail("post-grow analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
+	if body := completeAnalysis(front); !bytes.Equal(body, refBody) {
+		d.Failf("post-grow analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
 	}
 
 	// 3. The admission was real: a fresh sweep routes re-owned
 	// variants to the new members.
-	rows, summary = runSweep(front.URL, nil)
+	rows, summary, _ = d.Sweep(front+"/sweep", sweepRequest(), nil)
 	if summary.Errors != 0 {
-		fail("post-grow sweep carried %d error rows", summary.Errors)
+		d.Failf("post-grow sweep carried %d error rows", summary.Errors)
 	}
 	newServed := 0
 	for _, r := range rows {
@@ -293,7 +192,7 @@ func main() {
 		}
 	}
 	if newServed == 0 {
-		fail("no row served by an admitted shard — the grow changed nothing")
+		d.Failf("no row served by an admitted shard — the grow changed nothing")
 	}
 	fmt.Printf("post-grow sweep: %d/%d rows served by the new members\n", newServed, len(rows))
 
@@ -308,16 +207,16 @@ func main() {
 		}
 		sp, ok := specByName[r.Name]
 		if !ok {
-			fail("row %s has no local grid counterpart", r.Name)
+			d.Failf("row %s has no local grid counterpart", r.Name)
 		}
 		req, err := json.Marshal(service.RunRequest{Spec: &sp, Model: "tl"})
 		if err != nil {
-			fail("%v", err)
+			d.Failf("%v", err)
 		}
 		warm = append(warm, req)
 	}
 	if len(warm) == 0 {
-		fail("shard 1 served nothing — degenerate drill")
+		d.Failf("shard 1 served nothing — degenerate drill")
 	}
 	stop := make(chan struct{})
 	var misses, failures atomic.Int64
@@ -332,7 +231,7 @@ func main() {
 					return
 				default:
 				}
-				resp, err := http.Post(front.URL+"/run", "application/json", bytes.NewReader(warm[(g+i)%len(warm)]))
+				resp, err := http.Post(front+"/run", "application/json", bytes.NewReader(warm[(g+i)%len(warm)]))
 				if err != nil {
 					failures.Add(1)
 					continue
@@ -348,28 +247,28 @@ func main() {
 			}
 		}(g)
 	}
-	status, body := postAdmin(front.URL, "/admin/shards/1/drain", nil)
+	status, _, body := d.Post(front+"/admin/shards/1/drain", nil)
 	close(stop)
 	wg.Wait()
 	if status != http.StatusOK {
-		fail("drain status %d: %s", status, body)
+		d.Failf("drain status %d: %s", status, body)
 	}
 	var report shard.DrainReport
 	if err := json.Unmarshal(body, &report); err != nil {
-		fail("drain report: %v", err)
+		d.Failf("drain report: %v", err)
 	}
 	if report.Drained != 1 || report.Moved == 0 {
-		fail("drain report implausible: %+v", report)
+		d.Failf("drain report implausible: %+v", report)
 	}
 	if n := failures.Load(); n != 0 {
-		fail("%d /run failures during the drain", n)
+		d.Failf("%d /run failures during the drain", n)
 	}
 	if n := misses.Load(); n != 0 {
-		fail("%d cache misses during the drain — a warm key went cold", n)
+		d.Failf("%d cache misses during the drain — a warm key went cold", n)
 	}
-	top = topology(front.URL)
+	top = topology(front)
 	if top.Epoch != 3 || len(top.Members) != 3 {
-		fail("post-drain topology: %+v", top)
+		d.Failf("post-drain topology: %+v", top)
 	}
 	fmt.Printf("drained shard 1 under load: moved %d envelopes, 0 failures, 0 misses, epoch %d\n",
 		report.Moved, top.Epoch)
@@ -386,24 +285,24 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if !retired {
-		fail("supervisor never marked shard 1 retired: %+v", sup.Status())
+		d.Failf("supervisor never marked shard 1 retired: %+v", sup.Status())
 	}
 
 	// 5. The drained keyspace replays warm from its new owners.
-	rows, summary = runSweep(front.URL, nil)
+	rows, summary, _ = d.Sweep(front+"/sweep", sweepRequest(), nil)
 	if summary.Errors != 0 {
-		fail("post-drain sweep carried %d error rows", summary.Errors)
+		d.Failf("post-drain sweep carried %d error rows", summary.Errors)
 	}
 	for _, r := range rows {
 		if r.Shard == 1 {
-			fail("row %s served by the drained shard", r.Name)
+			d.Failf("row %s served by the drained shard", r.Name)
 		}
 		if r.Cache != "hit" {
-			fail("post-drain row %s disposition %q, want a warm hit from its new owner", r.Name, r.Cache)
+			d.Failf("post-drain row %s disposition %q, want a warm hit from its new owner", r.Name, r.Cache)
 		}
 	}
-	if body := postAnalyze(front.URL); !bytes.Equal(body, refBody) {
-		fail("post-drain analysis differs from the fault-free reference")
+	if body := completeAnalysis(front); !bytes.Equal(body, refBody) {
+		d.Failf("post-drain analysis differs from the fault-free reference")
 	}
 	fmt.Printf("post-drain replay: %d rows, all warm hits from the surviving members\n", len(rows))
 	fmt.Println("resize_service: OK")

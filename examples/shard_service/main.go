@@ -48,10 +48,8 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -64,17 +62,15 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/config"
+	"repro/internal/drill"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "shard_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill.
+var d *drill.Drill
 
 // proc is one spawned simd process (single or supervised cluster).
 type proc struct {
@@ -92,17 +88,19 @@ var (
 
 // start launches simd with the given arguments and parses its startup
 // banners: per-shard pid lines (cluster mode), then the serving line.
+// The drill's cleanup stops the process.
 func start(bin string, wantShards int, args ...string) *proc {
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		fail("%v", err)
+		d.Failf("%v", err)
 	}
 	if err := cmd.Start(); err != nil {
-		fail("starting %s: %v", bin, err)
+		d.Failf("starting %s: %v", bin, err)
 	}
 	p := &proc{cmd: cmd, shardPids: map[int]int{}}
+	d.Defer(p.stop)
 	type parsed struct {
 		url string
 		err error
@@ -133,14 +131,14 @@ func start(bin string, wantShards int, args ...string) *proc {
 	select {
 	case got := <-ch:
 		if got.err != nil {
-			fail("%v", got.err)
+			d.Failf("%v", got.err)
 		}
 		p.url = got.url
 	case <-time.After(30 * time.Second):
-		fail("%s: no serving banner within 30s", bin)
+		d.Failf("%s: no serving banner within 30s", bin)
 	}
 	if len(p.shardPids) != wantShards {
-		fail("%s announced %d shards, want %d", bin, len(p.shardPids), wantShards)
+		d.Failf("%s announced %d shards, want %d", bin, len(p.shardPids), wantShards)
 	}
 	return p
 }
@@ -161,60 +159,6 @@ func (p *proc) stop() {
 	}
 }
 
-// postRun submits one /run request and returns status, headers, body.
-func postRun(url string, req any) (int, http.Header, []byte) {
-	buf, err := json.Marshal(req)
-	if err != nil {
-		fail("%v", err)
-	}
-	resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		fail("POST /run: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fail("reading /run response: %v", err)
-	}
-	return resp.StatusCode, resp.Header, body
-}
-
-// runSweep streams the grid and invokes onRow per data row as it
-// arrives (the kill hook); it returns the data rows and the terminal
-// summary, failing the drill if the summary line is missing.
-func runSweep(url string, req []byte, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
-	return rows, summary
-}
-
 // slowBase is the kill-drill workload: heavy enough per variant (RTL
 // model) that a worker is reliably mid-simulation when the drill
 // pulls the trigger.
@@ -231,23 +175,6 @@ func slowBase() spec.Spec {
 	}
 }
 
-// scrapeMetrics fetches and parses an aggregated GET /metrics.
-func scrapeMetrics(url string) []obs.Family {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("metrics status %d", resp.StatusCode)
-	}
-	fams, err := obs.ParseText(resp.Body)
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
-	return fams
-}
-
 // findSeries returns the one matching sample value, or "".
 func findSeries(fams []obs.Family, name string, labels ...string) string {
 	vals := obs.Find(fams, name, labels...)
@@ -257,64 +184,25 @@ func findSeries(fams []obs.Family, name string, labels ...string) string {
 	return vals[0]
 }
 
-// sumCounter totals a counter family across all its label sets.
-func sumCounter(fams []obs.Family, name string) int {
-	total := 0
-	for _, v := range obs.Find(fams, name) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail("counter %s value %q: %v", name, v, err)
-		}
-		total += n
-	}
-	return total
-}
-
-// clusterHealth polls the router's aggregated healthz.
-func clusterHealth(url string) (shard.ClusterHealth, error) {
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		return shard.ClusterHealth{}, err
-	}
-	defer resp.Body.Close()
-	var h shard.ClusterHealth
-	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "shardsmoke")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
+	d = drill.New("shard_service")
+	defer d.Close()
+	bin := d.Simd()
 
 	// 1. Single-process reference vs the 2-shard cluster, every
 	// library scenario, byte-for-byte.
 	single := start(bin, 0, "-addr", "127.0.0.1:0", "-workers", "2",
-		"-store", filepath.Join(tmp, "single"))
-	defer single.stop()
+		"-store", filepath.Join(d.Tmp, "single"))
 	// The router cache is disabled: this drill asserts BACKEND-tier
 	// cache dispositions (X-Cache: hit from the worker's store), which
 	// the router-side cache would otherwise answer first.
 	cluster := start(bin, 2, "-addr", "127.0.0.1:0", "-shards", "2", "-workers", "1",
 		"-router-cache-bytes", "0",
-		"-store", filepath.Join(tmp, "cluster"))
-	defer cluster.stop()
+		"-store", filepath.Join(d.Tmp, "cluster"))
 
-	h, err := clusterHealth(cluster.url)
+	h, err := drill.Health(cluster.url)
 	if err != nil || !h.OK || len(h.Shards) != 2 || h.Workers != 2 {
-		fail("cluster health %+v (err %v)", h, err)
+		d.Failf("cluster health %+v (err %v)", h, err)
 	}
 	fmt.Printf("cluster up: 2 shards (pids %d, %d), %d workers total\n",
 		cluster.shardPids[0], cluster.shardPids[1], h.Workers)
@@ -323,20 +211,20 @@ func main() {
 	checked := 0
 	for name, sp := range scenarioByName {
 		req := map[string]any{"scenario": name, "model": "tl"}
-		st1, h1, b1 := postRun(single.url, req)
-		st2, h2, b2 := postRun(cluster.url, req)
+		st1, h1, b1 := d.Post(single.url+"/run", req)
+		st2, h2, b2 := d.Post(cluster.url+"/run", req)
 		if st1 != http.StatusOK || st2 != http.StatusOK {
-			fail("scenario %s: statuses %d/%d: %s / %s", name, st1, st2, b1, b2)
+			d.Failf("scenario %s: statuses %d/%d: %s / %s", name, st1, st2, b1, b2)
 		}
 		if !bytes.Equal(b1, b2) {
-			fail("scenario %s: sharded body differs from single-process:\n%s\n%s", name, b1, b2)
+			d.Failf("scenario %s: sharded body differs from single-process:\n%s\n%s", name, b1, b2)
 		}
 		if h1.Get("X-Spec-Hash") != h2.Get("X-Spec-Hash") {
-			fail("scenario %s: hash headers differ", name)
+			d.Failf("scenario %s: hash headers differ", name)
 		}
 		hash, _ := sp.Hash()
 		if want := strconv.Itoa(shard.OwnerID(hash, []int{0, 1})); h2.Get("X-Shard") != want {
-			fail("scenario %s placed on shard %s, rendezvous owner is %s", name, h2.Get("X-Shard"), want)
+			d.Failf("scenario %s placed on shard %s, rendezvous owner is %s", name, h2.Get("X-Shard"), want)
 		}
 		checked++
 	}
@@ -349,36 +237,29 @@ func main() {
 	// router's routing checks (it hashes fine) but fails the backend's
 	// strict validation, so the 400 below is authored by the worker.
 	invalid := spec.Spec{SpecVersion: spec.Version, Name: "smoke/invalid", Params: config.Default(2)}
-	ridBody, _ := json.Marshal(map[string]any{"spec": invalid, "model": "tl"})
-	ridReq, _ := http.NewRequest(http.MethodPost, cluster.url+"/run", bytes.NewReader(ridBody))
-	ridReq.Header.Set("Content-Type", "application/json")
+	ridReq := d.Request(http.MethodPost, cluster.url+"/run", map[string]any{"spec": invalid, "model": "tl"})
 	ridReq.Header.Set("X-Request-ID", "shard-smoke-rid-1")
-	ridResp, err := http.DefaultClient.Do(ridReq)
-	if err != nil {
-		fail("traced request: %v", err)
+	ridStatus, ridHdr, ridRespBody := d.Do(ridReq)
+	if ridStatus != http.StatusBadRequest {
+		d.Failf("traced request status %d: %s", ridStatus, ridRespBody)
 	}
-	ridRespBody, _ := io.ReadAll(ridResp.Body)
-	ridResp.Body.Close()
-	if ridResp.StatusCode != http.StatusBadRequest {
-		fail("traced request status %d: %s", ridResp.StatusCode, ridRespBody)
-	}
-	if got := ridResp.Header.Get("X-Request-ID"); got != "shard-smoke-rid-1" {
-		fail("router did not echo the request ID: %q", got)
+	if got := ridHdr.Get("X-Request-ID"); got != "shard-smoke-rid-1" {
+		d.Failf("router did not echo the request ID: %q", got)
 	}
 	var ridErr struct {
 		RequestID string `json:"request_id"`
 	}
 	if json.Unmarshal(ridRespBody, &ridErr) != nil || ridErr.RequestID != "shard-smoke-rid-1" {
-		fail("backend error body lost the request ID: %s", ridRespBody)
+		d.Failf("backend error body lost the request ID: %s", ridRespBody)
 	}
 	fmt.Println("request ID propagates router -> worker and back (echoed header + backend error body)")
 
 	// Timing breakdown survives the proxy hop on a cold run.
 	tb := fastBase()
 	tb.Name = "smoke/timing"
-	_, timingHdr, _ := postRun(cluster.url, map[string]any{"spec": tb, "model": "tl"})
+	_, timingHdr, _ := d.Post(cluster.url+"/run", map[string]any{"spec": tb, "model": "tl"})
 	if tm := timingHdr.Get("X-Timing"); !strings.Contains(tm, "simulate=") {
-		fail("X-Timing not forwarded through the router: %q", tm)
+		d.Failf("X-Timing not forwarded through the router: %q", tm)
 	}
 
 	// 2. The kill drill, twice: the second round proves the respawned
@@ -393,28 +274,28 @@ func main() {
 	// labels, the failovers the kills forced, and the supervisor
 	// respawns surfaced as restart counters (the counter-reset warning
 	// for anyone summing worker series).
-	fams := scrapeMetrics(cluster.url)
+	fams := d.Metrics(cluster.url)
 	for i := 0; i < 2; i++ {
 		label := strconv.Itoa(i)
 		if v := findSeries(fams, "simd_shard_up", "shard", label); v != "1" {
-			fail("simd_shard_up{shard=%s} = %q after respawn", label, v)
+			d.Failf("simd_shard_up{shard=%s} = %q after respawn", label, v)
 		}
 		if v := findSeries(fams, "simd_jobs_total", "shard", label); v == "" {
-			fail("shard %s series missing from the aggregated scrape", label)
+			d.Failf("shard %s series missing from the aggregated scrape", label)
 		}
 	}
-	if n := sumCounter(fams, "simd_router_failovers_total"); n == 0 {
-		fail("kill drills produced no simd_router_failovers_total increments")
+	if n := d.SumCounter(fams, "simd_router_failovers_total"); n == 0 {
+		d.Failf("kill drills produced no simd_router_failovers_total increments")
 	}
-	if n := sumCounter(fams, "simd_router_shard_restarts_total"); n < 2 {
-		fail("restart counter %d after two kill drills, want >= 2", n)
+	if n := d.SumCounter(fams, "simd_router_shard_restarts_total"); n < 2 {
+		d.Failf("restart counter %d after two kill drills, want >= 2", n)
 	}
-	h2, err := clusterHealth(cluster.url)
+	h2, err := drill.Health(cluster.url)
 	if err != nil || h2.Restarts < 2 {
-		fail("healthz restarts %d (err %v), want >= 2", h2.Restarts, err)
+		d.Failf("healthz restarts %d (err %v), want >= 2", h2.Restarts, err)
 	}
 	fmt.Printf("metrics: failovers=%d restarts=%d, both shards scrapeable under shard labels\n",
-		sumCounter(fams, "simd_router_failovers_total"), sumCounter(fams, "simd_router_shard_restarts_total"))
+		d.SumCounter(fams, "simd_router_failovers_total"), d.SumCounter(fams, "simd_router_shard_restarts_total"))
 
 	// 4. /sweep/analyze: the single process and the 2-shard cluster
 	// must produce byte-identical analysis documents for the same grid
@@ -435,13 +316,13 @@ func main() {
 			Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
 		},
 	}
-	_, body1 := postAnalyze(single.url, analyzeReq)
-	doc2, body2 := postAnalyze(cluster.url, analyzeReq)
+	_, body1 := d.Analyze(single.url, analyzeReq)
+	doc2, body2 := d.Analyze(cluster.url, analyzeReq)
 	if !bytes.Equal(body1, body2) {
-		fail("analysis documents differ between single-process and 2-shard:\n%s\n%s", body1, body2)
+		d.Failf("analysis documents differ between single-process and 2-shard:\n%s\n%s", body1, body2)
 	}
 	if doc2.Incomplete || doc2.Analyzed != 8 || doc2.Best == nil || doc2.Frontier == nil || len(doc2.Frontier.Points) == 0 {
-		fail("healthy analysis implausible: %s", body2)
+		d.Failf("healthy analysis implausible: %s", body2)
 	}
 	fmt.Printf("analysis byte-identical across deployments: best %s=%g at %s, %d frontier points\n",
 		doc2.Metric, doc2.Best.Value, doc2.Best.Name, len(doc2.Frontier.Points))
@@ -453,25 +334,19 @@ func main() {
 	// single-process reference. Losing BOTH workers must be reported
 	// truthfully — never a silently smaller frontier.
 	w1 := start(bin, 0, "-addr", "127.0.0.1:0", "-workers", "1")
-	defer w1.stop()
 	w2 := start(bin, 0, "-addr", "127.0.0.1:0", "-workers", "1")
-	defer w2.stop()
 	// Cache off here too: with it on, the analyze below would warm the
 	// router's own cache and the all-dead analysis would be served
 	// complete from it — this phase tests backend-tier honesty.
 	router := start(bin, 0, "-addr", "127.0.0.1:0", "-router-cache-bytes", "0",
 		"-backends", w1.url+","+w2.url)
-	defer router.stop()
 
 	// Verify the analysis grid actually spans both shards, and keep a
 	// spec the doomed shard owns for the direct-/run failover probe.
-	analyzeVariants := sweep.MustExpand(sweep.Grid{
-		Name: "smoke/analyze", Base: fastBase(),
-		Axes: []sweep.Axis{
-			{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 8}, {V: 16}}},
-			{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
-		},
-	})
+	analyzeVariants, err := service.ExpandSweepRequest(analyzeReq.SweepRequest, nil, 0)
+	if err != nil {
+		d.Failf("expanding the analysis grid locally: %v", err)
+	}
 	deadOwned := 0
 	var deadSpec *spec.Spec
 	for _, v := range analyzeVariants {
@@ -484,27 +359,27 @@ func main() {
 		}
 	}
 	if deadOwned == 0 || deadOwned == len(analyzeVariants) {
-		fail("degenerate analyze partition: shard 1 owns %d of %d", deadOwned, len(analyzeVariants))
+		d.Failf("degenerate analyze partition: shard 1 owns %d of %d", deadOwned, len(analyzeVariants))
 	}
 	w2.cmd.Process.Kill()
 	w2.cmd.Wait()
 
 	// A dead-owned spec still runs — served by the survivor, with the
 	// failover path announced in the response headers.
-	st, hdr, runBody := postRun(router.url, map[string]any{"spec": deadSpec, "model": "tl"})
+	st, hdr, runBody := d.Post(router.url+"/run", map[string]any{"spec": deadSpec, "model": "tl"})
 	if st != http.StatusOK {
-		fail("dead-owned /run after single loss: %d %s", st, runBody)
+		d.Failf("dead-owned /run after single loss: %d %s", st, runBody)
 	}
 	if hdr.Get("X-Shard") != "0" || hdr.Get("X-Failover") != "1->0" {
-		fail("dead-owned /run shard %q failover %q, want shard 0 via 1->0", hdr.Get("X-Shard"), hdr.Get("X-Failover"))
+		d.Failf("dead-owned /run shard %q failover %q, want shard 0 via 1->0", hdr.Get("X-Shard"), hdr.Get("X-Failover"))
 	}
 
-	oneDoc, oneBody := postAnalyze(router.url, analyzeReq)
+	oneDoc, oneBody := d.Analyze(router.url, analyzeReq)
 	if oneDoc.Incomplete || oneDoc.Analyzed != 8 || len(oneDoc.Failed) != 0 {
-		fail("single-loss analysis degraded: %s", oneBody)
+		d.Failf("single-loss analysis degraded: %s", oneBody)
 	}
 	if !bytes.Equal(oneBody, body1) {
-		fail("single-loss analysis differs from the single-process reference:\n%s\n%s", oneBody, body1)
+		d.Failf("single-loss analysis differs from the single-process reference:\n%s\n%s", oneBody, body1)
 	}
 	fmt.Printf("single worker lost: /run fails over (X-Failover 1->0), analysis still complete and byte-identical\n")
 
@@ -513,17 +388,17 @@ func main() {
 	w1.cmd.Process.Kill()
 	w1.cmd.Wait()
 
-	deadDoc, deadBody := postAnalyze(router.url, analyzeReq)
+	deadDoc, deadBody := d.Analyze(router.url, analyzeReq)
 	if !deadDoc.Incomplete {
-		fail("all-dead analysis not marked incomplete: %s", deadBody)
+		d.Failf("all-dead analysis not marked incomplete: %s", deadBody)
 	}
 	if deadDoc.Variants != 8 || deadDoc.Analyzed != 0 || len(deadDoc.Failed) != 8 {
-		fail("all-dead analysis variants/analyzed/failed %d/%d/%d, want 8/0/8: %s",
+		d.Failf("all-dead analysis variants/analyzed/failed %d/%d/%d, want 8/0/8: %s",
 			deadDoc.Variants, deadDoc.Analyzed, len(deadDoc.Failed), deadBody)
 	}
 	for _, f := range deadDoc.Failed {
 		if !strings.Contains(f.Error, "no live shard") {
-			fail("all-dead failure %+v does not name the exhausted cluster", f)
+			d.Failf("all-dead failure %+v does not name the exhausted cluster", f)
 		}
 	}
 	fmt.Printf("all workers lost: analysis truthful — incomplete=true, 0/%d analyzed, %d explicit failures\n",
@@ -545,13 +420,17 @@ func killDrill(cluster *proc, round int) {
 	// New hashes each round: same shape, one extra beat of work.
 	base.Masters[0].Count += round
 
-	variants := sweep.MustExpand(sweep.Grid{
-		Name: "smoke/grid", Base: base,
-		Axes: []sweep.Axis{
-			{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 8}, {V: 16}}},
-			{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
+	gridReq := service.SweepRequest{
+		Base: &base, Name: "smoke/grid", Model: "rtl",
+		Axes: []service.SweepAxis{
+			{Param: "write_buffer_depth", Values: []any{0, 2, 8, 16}},
+			{Param: "bi_enabled", Values: []any{true, false}},
 		},
-	})
+	}
+	variants, err := service.ExpandSweepRequest(gridReq, nil, 0)
+	if err != nil {
+		d.Failf("round %d: expanding the grid locally: %v", round, err)
+	}
 	owners := map[string]int{}
 	perShard := []int{0, 0}
 	for _, v := range variants {
@@ -560,7 +439,7 @@ func killDrill(cluster *proc, round int) {
 		perShard[o]++
 	}
 	if perShard[0] == 0 || perShard[1] == 0 {
-		fail("round %d: degenerate partition %v; re-salt the grid", round, perShard)
+		d.Failf("round %d: degenerate partition %v; re-salt the grid", round, perShard)
 	}
 	victim := 0
 	if perShard[1] > perShard[0] {
@@ -570,44 +449,38 @@ func killDrill(cluster *proc, round int) {
 
 	// The victim's CURRENT pid comes from healthz, not the startup
 	// banner: after round 1's respawn the banner pid is stale.
-	h, err := clusterHealth(cluster.url)
+	h, err := drill.Health(cluster.url)
 	if err != nil || !h.OK {
-		fail("round %d: cluster unhealthy before the drill: %+v (err %v)", round, h, err)
+		d.Failf("round %d: cluster unhealthy before the drill: %+v (err %v)", round, h, err)
 	}
 	if h.Shards[victim].Proc == nil {
-		fail("round %d: healthz carries no process status for shard %d", round, victim)
+		d.Failf("round %d: healthz carries no process status for shard %d", round, victim)
 	}
 	victimPid := h.Shards[victim].Proc.Pid
 	priorRespawns := h.Shards[victim].Proc.Respawns
 	fmt.Printf("kill drill %d: sweeping 8 RTL variants (shard split %v); killing shard %d (pid %d) after its first row\n",
 		round, perShard, victim, victimPid)
 
-	gridReq, _ := json.Marshal(map[string]any{
-		"base": base, "name": "smoke/grid", "model": "rtl",
-		"axes": []map[string]any{
-			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
-			{"param": "bi_enabled", "values": []bool{true, false}},
-		},
-	})
 	killed := false
-	rows, summary := runSweep(cluster.url, gridReq, func(r shard.Row) {
+	rows, summary, _ := d.Sweep(cluster.url+"/sweep", gridReq, func(r shard.Row) bool {
 		if !killed && r.Shard == victim && r.Error == "" {
 			syscall.Kill(victimPid, syscall.SIGKILL)
 			killed = true
 			fmt.Printf("  killed shard %d after row %s\n", victim, r.Name)
 		}
+		return true
 	})
 	if !killed {
-		fail("round %d: victim shard produced no successful row to trigger on", round)
+		d.Failf("round %d: victim shard produced no successful row to trigger on", round)
 	}
 	if len(rows) != 8 {
-		fail("round %d: kill sweep produced %d rows, want 8", round, len(rows))
+		d.Failf("round %d: kill sweep produced %d rows, want 8", round, len(rows))
 	}
 	byHash := map[string][]byte{}
 	failovers, stolen := 0, 0
 	for _, r := range rows {
 		if r.Error != "" {
-			fail("round %d: error row %s under single-shard loss (%s) — failover must cover a dead owner", round, r.Name, r.Error)
+			d.Failf("round %d: error row %s under single-shard loss (%s) — failover must cover a dead owner", round, r.Name, r.Error)
 		}
 		byHash[r.Hash] = r.Result
 		if r.Stolen != "" {
@@ -616,10 +489,10 @@ func killDrill(cluster *proc, round int) {
 			stolen++
 			var o, th int
 			if _, err := fmt.Sscanf(r.Stolen, "%d->%d", &o, &th); err != nil || o == th {
-				fail("round %d: row %s carries malformed stolen tag %q", round, r.Name, r.Stolen)
+				d.Failf("round %d: row %s carries malformed stolen tag %q", round, r.Name, r.Stolen)
 			}
 			if o != owners[r.Hash] || th != r.Shard {
-				fail("round %d: stolen row %s tag %q disagrees with owner %d / serving shard %d", round, r.Name, r.Stolen, owners[r.Hash], r.Shard)
+				d.Failf("round %d: stolen row %s tag %q disagrees with owner %d / serving shard %d", round, r.Name, r.Stolen, owners[r.Hash], r.Shard)
 			}
 			continue
 		}
@@ -627,23 +500,23 @@ func killDrill(cluster *proc, round int) {
 			// Owner-served: before the kill, or after the breaker let
 			// the revived victim back in mid-sweep.
 			if owners[r.Hash] != r.Shard {
-				fail("round %d: row %s on shard %d without a failover tag, owner %d", round, r.Name, r.Shard, owners[r.Hash])
+				d.Failf("round %d: row %s on shard %d without a failover tag, owner %d", round, r.Name, r.Shard, owners[r.Hash])
 			}
 			continue
 		}
 		failovers++
 		if owners[r.Hash] != victim || r.Shard != survivor {
-			fail("round %d: failover row %s owner %d served by shard %d (victim %d)", round, r.Name, owners[r.Hash], r.Shard, victim)
+			d.Failf("round %d: failover row %s owner %d served by shard %d (victim %d)", round, r.Name, owners[r.Hash], r.Shard, victim)
 		}
 		if want := fmt.Sprintf("%d->%d", victim, survivor); r.Failover != want {
-			fail("round %d: row %s failover %q, want %q", round, r.Name, r.Failover, want)
+			d.Failf("round %d: row %s failover %q, want %q", round, r.Name, r.Failover, want)
 		}
 	}
 	if failovers == 0 {
-		fail("round %d: no row failed over — the drill never exercised shard death", round)
+		d.Failf("round %d: no row failed over — the drill never exercised shard death", round)
 	}
 	if summary.Errors != 0 {
-		fail("round %d: terminal summary reports %d errors, stream carried none", round, summary.Errors)
+		d.Failf("round %d: terminal summary reports %d errors, stream carried none", round, summary.Errors)
 	}
 	fmt.Printf("  stream complete despite the kill: 8 rows, 0 errors, %d failover rows (%d->%d), %d stolen rows, truthful summary\n",
 		failovers, victim, survivor, stolen)
@@ -653,7 +526,7 @@ func killDrill(cluster *proc, round int) {
 	// owner-placed throughout.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		h, err := clusterHealth(cluster.url)
+		h, err := drill.Health(cluster.url)
 		if err == nil && h.OK && h.Shards[victim].Proc != nil &&
 			h.Shards[victim].Proc.Pid != victimPid &&
 			h.Shards[victim].Proc.Respawns > priorRespawns &&
@@ -661,7 +534,7 @@ func killDrill(cluster *proc, round int) {
 			break
 		}
 		if time.Now().After(deadline) {
-			fail("round %d: shard %d never respawned cleanly: %+v (err %v)", round, victim, h, err)
+			d.Failf("round %d: shard %d never respawned cleanly: %+v (err %v)", round, victim, h, err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -671,9 +544,9 @@ func killDrill(cluster *proc, round int) {
 	// failed over were never written through to the victim, so the
 	// revived victim recomputes them — and must land on exactly the
 	// bytes the survivor produced under failover.
-	recomputed, summary2 := runSweep(cluster.url, gridReq, nil)
+	recomputed, summary2, _ := d.Sweep(cluster.url+"/sweep", gridReq, nil)
 	if len(recomputed) != 8 || summary2.Errors != 0 {
-		fail("round %d: post-respawn sweep: %d rows, %d errors", round, len(recomputed), summary2.Errors)
+		d.Failf("round %d: post-respawn sweep: %d rows, %d errors", round, len(recomputed), summary2.Errors)
 	}
 	for _, r := range recomputed {
 		if r.Stolen != "" {
@@ -682,33 +555,33 @@ func killDrill(cluster *proc, round int) {
 			// the write-back still lands the bytes on the owner.
 			var o, th int
 			if _, err := fmt.Sscanf(r.Stolen, "%d->%d", &o, &th); err != nil || o == th || o != owners[r.Hash] || th != r.Shard {
-				fail("round %d: post-respawn stolen row %s tag %q disagrees with owner %d / shard %d", round, r.Name, r.Stolen, owners[r.Hash], r.Shard)
+				d.Failf("round %d: post-respawn stolen row %s tag %q disagrees with owner %d / shard %d", round, r.Name, r.Stolen, owners[r.Hash], r.Shard)
 			}
 		} else if r.Failover != "" || r.Shard != owners[r.Hash] {
-			fail("round %d: post-respawn row %s on shard %d (failover %q), owner %d", round, r.Name, r.Shard, r.Failover, owners[r.Hash])
+			d.Failf("round %d: post-respawn row %s on shard %d (failover %q), owner %d", round, r.Name, r.Shard, r.Failover, owners[r.Hash])
 		}
 		if !bytes.Equal(r.Result, byHash[r.Hash]) {
-			fail("round %d: row %s recomputed after respawn differs from its failover result", round, r.Name)
+			d.Failf("round %d: row %s recomputed after respawn differs from its failover result", round, r.Name)
 		}
 	}
 
 	// Replay: the whole grid is now a disk hit on BOTH shards.
-	replayed, summary3 := runSweep(cluster.url, gridReq, nil)
+	replayed, summary3, _ := d.Sweep(cluster.url+"/sweep", gridReq, nil)
 	if len(replayed) != 8 || summary3.Errors != 0 {
-		fail("round %d: replay sweep: %d rows, %d errors", round, len(replayed), summary3.Errors)
+		d.Failf("round %d: replay sweep: %d rows, %d errors", round, len(replayed), summary3.Errors)
 	}
 	hitsByShard := []int{0, 0}
 	for _, r := range replayed {
 		if r.Cache != "hit" {
-			fail("round %d: replay row %s disposition %q, want hit", round, r.Name, r.Cache)
+			d.Failf("round %d: replay row %s disposition %q, want hit", round, r.Name, r.Cache)
 		}
 		if !bytes.Equal(r.Result, byHash[r.Hash]) {
-			fail("round %d: replay row %s differs from its recomputation", round, r.Name)
+			d.Failf("round %d: replay row %s differs from its recomputation", round, r.Name)
 		}
 		hitsByShard[r.Shard]++
 	}
 	if hitsByShard[0] == 0 || hitsByShard[1] == 0 {
-		fail("round %d: replay hits came from one shard only: %v", round, hitsByShard)
+		d.Failf("round %d: replay hits came from one shard only: %v", round, hitsByShard)
 	}
 	fmt.Printf("  full grid replays all-hit from both stores (%d + %d rows)\n", hitsByShard[0], hitsByShard[1])
 }
@@ -725,16 +598,4 @@ func fastBase() spec.Spec {
 			{Kind: spec.KindStream, Base: 0x80000, Beats: 4, Period: 40, Count: 150, WrapBytes: 0x20000},
 		},
 	}
-}
-
-// postAnalyze submits a /sweep/analyze request through the typed
-// client — the same exported API frontends use — returning the
-// decoded document plus the raw bytes for byte-identity checks.
-func postAnalyze(url string, req service.AnalyzeRequest) (agg.Analysis, []byte) {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), req)
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
-	return *doc, body
 }

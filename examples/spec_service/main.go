@@ -18,44 +18,35 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-
 	"strconv"
 	"strings"
 
 	"repro/internal/agg"
+	"repro/internal/drill"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
-// fail aborts the walkthrough; CI treats any nonzero exit as a smoke
-// failure.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "spec_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+// d is the running drill; its Failf aborts the walkthrough, and CI
+// treats any nonzero exit as a smoke failure.
+var d *drill.Drill
 
-// post submits body to url and returns the status, X-Cache header and
+// post sends req to url and returns the status, X-Cache header and
 // response body.
-func post(url string, body []byte) (int, string, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header.Get("X-Cache"), out, err
+func post(url string, req any) (int, string, []byte) {
+	status, hdr, body := d.Post(url, req)
+	return status, hdr.Get("X-Cache"), body
 }
 
 // sweepGrid is the small demonstration grid: write-buffer depth ×
 // bank interleaving over the spec.json workload, 8 variants.
-func sweepGrid(sp spec.Spec) []byte {
-	req, err := json.Marshal(map[string]any{
+func sweepGrid(sp spec.Spec) map[string]any {
+	return map[string]any{
 		"base":  sp,
 		"name":  "demo/grid",
 		"model": "tl",
@@ -63,66 +54,44 @@ func sweepGrid(sp spec.Spec) []byte {
 			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
 			{"param": "bi_enabled", "values": []bool{true, false}},
 		},
-	})
-	if err != nil {
-		fail("%v", err)
 	}
-	return req
 }
 
-// runSweep posts the grid and returns every streamed NDJSON data row
-// plus the per-disposition counts. The stream must end with the
-// terminal summary row ({"done":true,...}) — its absence means the
-// stream was truncated mid-grid, which the smoke treats as a failure.
-func runSweep(url string, req []byte) (rows []service.SweepRow, byCache map[string]int) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep: status %d: %s", resp.StatusCode, body)
-	}
+// cleanSweep posts the grid and returns every streamed data row plus
+// the per-disposition counts; the walkthrough's grids have no error
+// rows.
+func cleanSweep(url string, req any) (rows []shard.Row, byCache map[string]int) {
+	rows, summary, _ := d.Sweep(url+"/sweep", req, nil)
 	byCache = map[string]int{}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var row service.SweepRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			return err
-		}
+	for _, row := range rows {
 		if row.Error != "" {
-			fail("sweep row %s: %s", row.Name, row.Error)
+			d.Failf("sweep row %s: %s", row.Name, row.Error)
 		}
-		rows = append(rows, row)
 		byCache[row.Cache]++
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
 	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — truncated", len(rows))
-	}
-	if summary.Rows != len(rows) || summary.Errors != 0 {
-		fail("sweep summary %+v does not match %d clean rows", summary, len(rows))
+	if summary.Errors != 0 {
+		d.Failf("sweep summary %+v does not match %d clean rows", summary, len(rows))
 	}
 	return rows, byCache
 }
 
 func main() {
+	d = drill.New("spec_service")
+	defer d.Close()
+
 	// 1. Load and validate the declarative workload spec. The spec is
 	// data: it could as well have arrived over the wire or from a
 	// scenario store.
 	raw, err := os.ReadFile(filepath.Join("examples", "spec_service", "spec.json"))
 	if err != nil {
-		fail("run from the repository root: %v", err)
+		d.Failf("run from the repository root: %v", err)
 	}
 	sp, err := spec.Decode(raw)
 	if err != nil {
-		fail("%v", err)
+		d.Failf("%v", err)
 	}
 	if err := sp.Validate(); err != nil {
-		fail("%v", err)
+		d.Failf("%v", err)
 	}
 	hash, _ := sp.Hash()
 	fmt.Printf("spec %q — content hash %s\n", sp.Name, hash[:16])
@@ -130,91 +99,71 @@ func main() {
 	// 2. Start the service with a disk-backed result store. In
 	// production this is `go run ./cmd/simd -store DIR`; here it runs
 	// in-process on an ephemeral port over a temp directory.
-	storeDir, err := os.MkdirTemp("", "simstore")
-	if err != nil {
-		fail("%v", err)
-	}
-	defer os.RemoveAll(storeDir)
-	srv, err := service.New(service.Options{StoreDir: storeDir})
-	if err != nil {
-		fail("%v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	storeDir := filepath.Join(d.Tmp, "store")
+	srv, url, stop := d.Server(service.Options{StoreDir: storeDir})
 
 	// 3. Compare the spec on both models. First submission simulates.
-	req, _ := json.Marshal(map[string]any{"spec": sp})
-	status, cache, body, err := post(ts.URL+"/compare", req)
-	if err != nil || status != http.StatusOK {
-		fail("compare: status %d err %v: %s", status, err, body)
+	req := map[string]any{"spec": sp}
+	status, cache, body := post(url+"/compare", req)
+	if status != http.StatusOK {
+		d.Failf("compare: status %d: %s", status, body)
 	}
 	var row service.CompareResponse
 	json.Unmarshal(body, &row)
 	fmt.Printf("first  /compare: X-Cache=%-5s RTL=%d TL=%d diff=%.2f%%\n",
 		cache, row.RTLCycles, row.TLMCycles, row.DiffPct)
 	if cache != "miss" {
-		fail("first compare X-Cache = %q, want miss", cache)
+		d.Failf("first compare X-Cache = %q, want miss", cache)
 	}
 
 	// 4. Submit the identical spec again: served from the cache,
 	// byte-identical, no second simulation.
-	_, cache2, body2, _ := post(ts.URL+"/compare", req)
+	_, cache2, body2 := post(url+"/compare", req)
 	fmt.Printf("second /compare: X-Cache=%-5s byte-identical=%v\n", cache2, bytes.Equal(body, body2))
 	if cache2 != "hit" || !bytes.Equal(body, body2) {
-		fail("cached replay broken: X-Cache=%q identical=%v", cache2, bytes.Equal(body, body2))
+		d.Failf("cached replay broken: X-Cache=%q identical=%v", cache2, bytes.Equal(body, body2))
 	}
 	c := srv.CountersSnapshot()
 	fmt.Printf("service counters: jobs=%d cache_hits=%d coalesced=%d\n", c.Jobs, c.CacheHits, c.Coalesced)
 
 	// 5. The built-in scenario library is served by name.
-	resp, err := http.Get(ts.URL + "/scenarios")
-	if err != nil {
-		fail("%v", err)
-	}
+	_, _, scenarios := d.Get(url + "/scenarios")
 	var infos []service.ScenarioInfo
-	json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
+	json.Unmarshal(scenarios, &infos)
 	fmt.Printf("%d library scenarios; e.g. %s (%s)\n", len(infos), infos[0].Name, infos[0].Hash[:16])
 
-	nameReq, _ := json.Marshal(map[string]any{"scenario": infos[0].Name, "model": "tl"})
-	_, _, body3, _ := post(ts.URL+"/run", nameReq)
+	_, _, body3 := post(url+"/run", map[string]any{"scenario": infos[0].Name, "model": "tl"})
 	var run service.RunResponse
 	json.Unmarshal(body3, &run)
 	fmt.Printf("ran %q by name on %s: %d cycles, completed=%v\n", run.Name, run.Model, run.Cycles, run.Completed)
 	if run.Cycles == 0 || !run.Completed {
-		fail("library run implausible: %+v", run)
+		d.Failf("library run implausible: %+v", run)
 	}
 
 	// 6. Sweep a 4×2 parameter grid (write-buffer depth × bank
 	// interleaving). Rows stream back as NDJSON while the grid
 	// simulates on the farm.
 	gridReq := sweepGrid(sp)
-	rows, byCache := runSweep(ts.URL, gridReq)
+	rows, byCache := cleanSweep(url, gridReq)
 	fmt.Printf("swept %d variants: dispositions %v\n", len(rows), byCache)
 	if len(rows) != 8 {
-		fail("sweep produced %d rows, want 8", len(rows))
+		d.Failf("sweep produced %d rows, want 8", len(rows))
 	}
 	if byCache["miss"] != 8 {
-		fail("cold sweep dispositions %v, want 8 misses", byCache)
+		d.Failf("cold sweep dispositions %v, want 8 misses", byCache)
 	}
 
 	// 7. Restart the service over the same store directory: the whole
 	// grid — and the earlier compare — replay from disk, byte-identical,
 	// with zero new simulations.
-	ts.Close()
-	srv.Close()
-	srv2, err := service.New(service.Options{StoreDir: storeDir})
-	if err != nil {
-		fail("%v", err)
-	}
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
+	stop()
+	srv2, url2, _ := d.Server(service.Options{StoreDir: storeDir})
 
-	rows2, byCache2 := runSweep(ts2.URL, gridReq)
-	_, cache3, body4, _ := post(ts2.URL+"/compare", req)
+	rows2, byCache2 := cleanSweep(url2, gridReq)
+	_, cache3, body4 := post(url2+"/compare", req)
 	fmt.Printf("after restart: sweep dispositions %v, /compare X-Cache=%s\n", byCache2, cache3)
 	if len(rows2) != 8 || byCache2["hit"] != 8 {
-		fail("restarted sweep dispositions %v, want 8 hits", byCache2)
+		d.Failf("restarted sweep dispositions %v, want 8 hits", byCache2)
 	}
 	// Cold rows arrive in completion order, warm rows in grid order;
 	// match them by spec hash.
@@ -224,14 +173,14 @@ func main() {
 	}
 	for _, r := range rows2 {
 		if !bytes.Equal(r.Result, coldByHash[r.Hash]) {
-			fail("restarted sweep row %s differs", r.Name)
+			d.Failf("restarted sweep row %s differs", r.Name)
 		}
 	}
 	if cache3 != "hit" || !bytes.Equal(body4, body) {
-		fail("restarted compare not served from store: X-Cache=%q", cache3)
+		d.Failf("restarted compare not served from store: X-Cache=%q", cache3)
 	}
 	if jobs := srv2.CountersSnapshot().Jobs; jobs != 0 {
-		fail("restarted server re-simulated %d jobs", jobs)
+		d.Failf("restarted server re-simulated %d jobs", jobs)
 	}
 
 	// 8. Analyze the same grid through POST /sweep/analyze: one JSON
@@ -239,34 +188,25 @@ func main() {
 	// frontier — computed from the same cached results (still zero new
 	// simulations), with the best variant agreeing with an argmin
 	// computed by hand from the raw sweep rows.
-	analyzeReq, _ := json.Marshal(map[string]any{
-		"base":  sp,
-		"name":  "demo/grid",
-		"model": "tl",
-		"axes": []map[string]any{
-			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
-			{"param": "bi_enabled", "values": []bool{true, false}},
-		},
-		"metric":   "cycles",
-		"top_k":    3,
-		"frontier": map[string]any{"x": "cycles", "y": "throughput", "y_objective": "max"},
-	})
-	status, _, analysisBody, err := post(ts2.URL+"/sweep/analyze", analyzeReq)
-	if err != nil || status != http.StatusOK {
-		fail("analyze: status %d err %v: %s", status, err, analysisBody)
+	analyzeGrid := sweepGrid(sp)
+	analyzeGrid["metric"], analyzeGrid["top_k"] = "cycles", 3
+	analyzeGrid["frontier"] = map[string]any{"x": "cycles", "y": "throughput", "y_objective": "max"}
+	status, _, analysisBody := post(url2+"/sweep/analyze", analyzeGrid)
+	if status != http.StatusOK {
+		d.Failf("analyze: status %d: %s", status, analysisBody)
 	}
 	var doc agg.Analysis
 	if err := json.Unmarshal(analysisBody, &doc); err != nil {
-		fail("decoding analysis: %v", err)
+		d.Failf("decoding analysis: %v", err)
 	}
 	if doc.Variants != 8 || doc.Analyzed != 8 || doc.Incomplete {
-		fail("analysis incomplete over a healthy grid: %s", analysisBody)
+		d.Failf("analysis incomplete over a healthy grid: %s", analysisBody)
 	}
 	wantBest, wantCycles := "", float64(0)
 	for _, r := range rows2 {
 		var res service.RunResponse
 		if err := json.Unmarshal(r.Result, &res); err != nil {
-			fail("%v", err)
+			d.Failf("%v", err)
 		}
 		c := float64(res.Cycles)
 		if wantBest == "" || c < wantCycles || (c == wantCycles && r.Hash < wantBest) {
@@ -274,13 +214,13 @@ func main() {
 		}
 	}
 	if doc.Best == nil || doc.Best.Hash != wantBest || doc.Best.Value != wantCycles {
-		fail("analysis best %+v disagrees with row argmin (%s, %v)", doc.Best, wantBest, wantCycles)
+		d.Failf("analysis best %+v disagrees with row argmin (%s, %v)", doc.Best, wantBest, wantCycles)
 	}
 	if len(doc.Top) != 3 || len(doc.Groups) != 2 || doc.Frontier == nil || len(doc.Frontier.Points) == 0 {
-		fail("analysis document thin: %s", analysisBody)
+		d.Failf("analysis document thin: %s", analysisBody)
 	}
 	if jobs := srv2.CountersSnapshot().Jobs; jobs != 0 {
-		fail("analyze re-simulated %d jobs", jobs)
+		d.Failf("analyze re-simulated %d jobs", jobs)
 	}
 	fmt.Printf("analysis: best %s=%g at %s, %d frontier points, incomplete=%v\n",
 		doc.Metric, doc.Best.Value, doc.Best.Name, len(doc.Frontier.Points), doc.Incomplete)
@@ -289,53 +229,38 @@ func main() {
 	// X-Timing breakdown and echoes the caller's X-Request-ID; the
 	// /metrics scrape shows the restart-replay as disk_hit tier counts
 	// (8 sweep rows + the compare), not re-simulations.
-	missReq, _ := json.Marshal(map[string]any{"scenario": infos[0].Name, "model": "rtl"})
-	hreq, _ := http.NewRequest(http.MethodPost, ts2.URL+"/run", bytes.NewReader(missReq))
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq := d.Request(http.MethodPost, url2+"/run", map[string]any{"scenario": infos[0].Name, "model": "rtl"})
 	hreq.Header.Set(obs.RequestIDHeader, "smoke-trace-1")
-	hresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		fail("traced run: %v", err)
+	hstatus, hhdr, _ := d.Do(hreq)
+	if hstatus != http.StatusOK || hhdr.Get("X-Cache") != "miss" {
+		d.Failf("traced run: status %d X-Cache %q, want a 200 miss", hstatus, hhdr.Get("X-Cache"))
 	}
-	io.Copy(io.Discard, hresp.Body)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK || hresp.Header.Get("X-Cache") != "miss" {
-		fail("traced run: status %d X-Cache %q, want a 200 miss", hresp.StatusCode, hresp.Header.Get("X-Cache"))
+	if rid := hhdr.Get(obs.RequestIDHeader); rid != "smoke-trace-1" {
+		d.Failf("request ID not echoed: %q", rid)
 	}
-	if rid := hresp.Header.Get(obs.RequestIDHeader); rid != "smoke-trace-1" {
-		fail("request ID not echoed: %q", rid)
-	}
-	timing := hresp.Header.Get(service.TimingHeader)
+	timing := hhdr.Get(service.TimingHeader)
 	if !strings.Contains(timing, "queue=") || !strings.Contains(timing, "simulate=") || !strings.Contains(timing, "encode=") {
-		fail("miss response X-Timing %q lacks the per-stage breakdown", timing)
+		d.Failf("miss response X-Timing %q lacks the per-stage breakdown", timing)
 	}
 
-	mresp, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	fams, err := obs.ParseText(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
+	fams := d.Metrics(url2)
 	tier := func(name string) int {
 		vals := obs.Find(fams, "simd_cache_requests_total", "tier", name)
 		if len(vals) != 1 {
-			fail("tier %s: %v", name, vals)
+			d.Failf("tier %s: %v", name, vals)
 		}
 		n, err := strconv.Atoi(vals[0])
 		if err != nil {
-			fail("tier %s: %v", name, err)
+			d.Failf("tier %s: %v", name, err)
 		}
 		return n
 	}
 	diskHits := tier("disk_hit")
 	if diskHits < 8 {
-		fail("disk_hit tier = %d after restart replay, want >= 8", diskHits)
+		d.Failf("disk_hit tier = %d after restart replay, want >= 8", diskHits)
 	}
 	if up := obs.Find(fams, "simd_http_requests_total", "endpoint", "/run", "code", "200"); len(up) != 1 {
-		fail("simd_http_requests_total{/run,200} missing: %v", up)
+		d.Failf("simd_http_requests_total{/run,200} missing: %v", up)
 	}
 	fmt.Printf("metrics: tiers disk_hit=%d memory_hit=%d miss=%d; X-Timing %q\n",
 		diskHits, tier("memory_hit"), tier("miss"), timing)

@@ -172,13 +172,16 @@ func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
 // checkpointManifest persists m, first merging the stored copy's
 // progress bits (concurrent streams of the same sweep — or a router
 // write-through racing a local stream — union instead of clobbering
-// each other). The store write is atomic (tmp+rename), so a SIGKILL
-// mid-checkpoint leaves the previous manifest intact, never a torn
-// one.
+// each other). A merge that changes nothing is not written: every
+// stream ends with a checkpoint, and a repeated all-hit sweep would
+// otherwise rewrite the same manifest each time. The store write is
+// atomic (tmp+rename), so a SIGKILL mid-checkpoint leaves the
+// previous manifest intact, never a torn one.
 func (s *Server) checkpointManifest(m *SweepManifest) {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
-	if prev, ok := s.loadManifest(m.ID); ok && prev.Total == m.Total {
+	prev, ok := s.loadManifest(m.ID)
+	if ok && prev.Total == m.Total {
 		m.Done.Or(prev.Done)
 		m.Failed.Or(prev.Failed)
 		if m.Variants == 0 {
@@ -188,6 +191,9 @@ func (s *Server) checkpointManifest(m *SweepManifest) {
 	// A success anywhere outranks a failure anywhere: a variant that
 	// failed in one stream and completed in another is done.
 	m.Failed.AndNot(m.Done)
+	if ok && m.Variants == prev.Variants && m.Done.Equal(prev.Done) && m.Failed.Equal(prev.Failed) {
+		return
+	}
 	body, err := json.Marshal(m)
 	if err != nil {
 		return

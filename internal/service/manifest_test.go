@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -327,6 +329,71 @@ func TestSweepManifestPutMergesProgress(t *testing.T) {
 	if status, body := put(m2, strings.Repeat("cd", 32)); status != http.StatusBadRequest ||
 		!strings.Contains(string(body), "does not describe") {
 		t.Fatalf("mismatched-id PUT: %d %s", status, body)
+	}
+}
+
+func TestUnchangedManifestIsNotRewritten(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Options{Workers: 2, Queue: 64, StoreDir: dir})
+	req := gridRequest(64)
+	hdr, _, _ := sweepBody(t, ts.URL, req)
+	id := hdr.Get(SweepIDHeader)
+	file := filepath.Join(dir, "sweep-"+id+".res")
+	snapshot := func() (uint64, []byte, int64) {
+		t.Helper()
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.sweepCheckpoints.Value(), body, info.ModTime().UnixNano()
+	}
+	checkpoints, body, mtime := snapshot()
+	if checkpoints == 0 {
+		t.Fatal("the cold sweep persisted no checkpoint")
+	}
+
+	// The repeat is all hits and completes nothing new: the stored
+	// manifest already says everything the stream's checkpoint would.
+	_, rows, _ := sweepBody(t, ts.URL, req)
+	for _, row := range rows {
+		if row.Cache != "hit" {
+			t.Fatalf("repeat row %d cache %q, want hit", row.Index, row.Cache)
+		}
+	}
+	again, againBody, againMtime := snapshot()
+	if again != checkpoints || !bytes.Equal(againBody, body) || againMtime != mtime {
+		t.Fatalf("all-hit repeat rewrote the manifest: checkpoints %d -> %d, bytes equal %v, mtime %d -> %d",
+			checkpoints, again, bytes.Equal(againBody, body), mtime, againMtime)
+	}
+
+	// A resume that completes new indices still persists them.
+	partial := decodeSweepRequest(t, gridRequest(65))
+	pid, err := SweepID(partial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &SweepManifest{Version: 1, ID: pid, Request: partial, Total: 8, Done: sweep.NewBitset(8), Failed: sweep.NewBitset(8)}
+	for i := 0; i <= 3; i++ {
+		m.Done.Set(i)
+	}
+	srv.checkpointManifest(m)
+	file = filepath.Join(dir, "sweep-"+pid+".res")
+	checkpoints, body, _ = snapshot()
+	if got, _, _ := resumeStream(t, ts.URL, pid, 3); len(got) != 4 {
+		t.Fatalf("resume streamed %d rows, want 4", len(got))
+	}
+	again, againBody, _ = snapshot()
+	if again <= checkpoints || bytes.Equal(againBody, body) {
+		t.Fatalf("resume completing indices 4..7 did not persist: checkpoints %d -> %d", checkpoints, again)
+	}
+	status, _, stBody := getJSON(t, ts.URL+"/sweep/"+pid)
+	var st SweepStatus
+	if status != http.StatusOK || json.Unmarshal(stBody, &st) != nil || st.DoneCount != 8 {
+		t.Fatalf("status after resume %d: %s", status, stBody)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -92,6 +93,11 @@ func (b *Bitset) AndNot(other *Bitset) {
 	for i, w := range other.bits {
 		b.bits[i] &^= w
 	}
+}
+
+// Equal reports whether b and other have the same length and marks.
+func (b *Bitset) Equal(other *Bitset) bool {
+	return b.Len() == other.Len() && (b.Len() == 0 || bytes.Equal(b.bits, other.bits))
 }
 
 // bitsetWire is the JSON shape: the length plus the packed bytes.
